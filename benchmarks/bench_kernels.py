@@ -1,29 +1,33 @@
-"""Timing comparison of the numba kernels against the numpy fallback.
+"""Time and iteration count of the implicit solve, kernels.cg_solve.
 
-Exercises the two hot paths of the integrator: the explicit diffusion
-stencil and the implicit conjugate-gradient solve. Typical output::
+Solves (I - dt*D) x = b once per repeat on each grid, with a constant
+coefficient (the preconditioner is then the exact inverse) and with a
+cosine profile varying by a factor of 3 (the case the preconditioner
+only approximates). Prints the median time per solve, the CG
+iterations and the final relative residual (one core, BLAS pinned to one
+thread)::
 
-    size     kernel        numpy        numba     speedup
-    256x256  diffusion   180.1 us      95.3 us       1.9x
-    256x256  cg solve      4.21 ms      1.37 ms      3.1x
+    grid      coefficient        time  iters    relres
+    64        constant        65.8 us      1   3.0e-15
+    96x96     variable        7.62 ms     24   3.5e-14
+    256x256   constant       11.79 ms      2   1.9e-26
 
-Run as ``python3 benchmarks/bench_kernels.py``; pass --sizes to change
-the grid edge lengths.
+At 256x256 the constant case needs a second iteration: one application
+leaves a rounding residual of about cond * eps, above the 1e-13 target.
+
+Run as ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``; --grids
+takes grid shapes such as ``64 64x64 96x96 256x256``.
 """
 
 import argparse
+import math
 import time
 
 import numpy as np
 
-from sirblab.kernels import (
-    HAS_NUMBA,
-    cg_solve_numpy,
-    diffusion_apply_numpy,
-)
+from sirblab.kernels import cg_solve
 
-if HAS_NUMBA:
-    from sirblab.kernels import cg_solve_numba, diffusion_apply_numba
+RTOL = 1e-13
 
 
 def median_time(fn, repeats):
@@ -43,58 +47,49 @@ def fmt(seconds):
     return f"{seconds:8.3f} s "
 
 
-def bench_case(n, dt, rtol, repeats):
+def parse_grid(text):
+    cells = tuple(int(c) for c in text.lower().split("x"))
+    if len(cells) == 1:
+        return (cells[0], 1)
+    if len(cells) == 2:
+        return cells
+    raise argparse.ArgumentTypeError(f"expected N or NxM, got {text!r}")
+
+
+def problem(shape, variable, base=0.015):
+    """Unit-box grid, smooth-plus-noise right-hand side, coefficient field."""
+    nx, ny = shape
+    hx, hy = 1.0 / nx, (1.0 / ny if ny > 1 else 1.0)
+    x = (np.arange(nx) + 0.5) * hx
+    y = (np.arange(ny) + 0.5) / ny
     rng = np.random.default_rng(0)
-    u = rng.uniform(0.5, 1.5, size=(n, n))
-    a = rng.uniform(0.01, 0.1, size=(n, n))
-    hx = hy = 1.0 / n
-
-    rows = []
-    t_np = median_time(lambda: diffusion_apply_numpy(u, a, hx, hy), repeats)
-    if HAS_NUMBA:
-        diffusion_apply_numba(u, a, hx, hy)  # compile outside the clock
-        t_nb = median_time(lambda: diffusion_apply_numba(u, a, hx, hy), repeats)
-    else:
-        t_nb = None
-    rows.append(("diffusion", t_np, t_nb))
-
-    maxiter = 10 * n * n
-    t_np = median_time(lambda: cg_solve_numpy(u, a, dt, hx, hy, rtol, maxiter),
-                       repeats)
-    if HAS_NUMBA:
-        cg_solve_numba(u, a, dt, hx, hy, rtol, maxiter)
-        t_nb = median_time(lambda: cg_solve_numba(u, a, dt, hx, hy, rtol, maxiter),
-                           repeats)
-        x_np = cg_solve_numpy(u, a, dt, hx, hy, rtol, maxiter)[0]
-        x_nb = cg_solve_numba(u, a, dt, hx, hy, rtol, maxiter)[0]
-        agree = float(np.max(np.abs(x_np - x_nb)))
-        assert agree < 1e-10, f"backends disagree by {agree}"
-    else:
-        t_nb = None
-    rows.append(("cg solve", t_np, t_nb))
-    return rows
+    b = 1.0 + 0.3 * np.cos(math.pi * x)[:, None] * np.cos(math.pi * y)[None, :]
+    b = b + rng.uniform(-0.05, 0.05, size=shape)
+    a = np.full(shape, base)
+    if variable:
+        a = a + 0.5 * base * np.cos(math.pi * x)[:, None] * np.cos(2 * math.pi * y)[None, :]
+    return b, a, hx, hy
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", type=int, nargs="+", default=[64, 128, 256])
-    ap.add_argument("--repeats", type=int, default=20)
-    ap.add_argument("--dt", type=float, default=0.01)
-    ap.add_argument("--rtol", type=float, default=1e-13)
+    ap.add_argument("--grids", type=parse_grid, nargs="+",
+                    default=[(64, 1), (64, 64), (96, 96), (256, 256)])
+    ap.add_argument("--repeats", type=int, default=10)
+    ap.add_argument("--dt", type=float, default=5.0 / 32.0)
     args = ap.parse_args()
 
-    if not HAS_NUMBA:
-        print("numba not importable; timing the numpy path only")
-
-    print(f"{'size':9s} {'kernel':10s} {'numpy':>12s} {'numba':>12s} {'speedup':>9s}")
-    for n in args.sizes:
-        size = f"{n}x{n}"
-        for name, t_np, t_nb in bench_case(n, args.dt, args.rtol, args.repeats):
-            if t_nb is None:
-                print(f"{size:9s} {name:10s} {fmt(t_np):>12s} {'-':>12s} {'-':>9s}")
-            else:
-                print(f"{size:9s} {name:10s} {fmt(t_np):>12s} {fmt(t_nb):>12s}"
-                      f" {t_np / t_nb:8.1f}x")
+    print(f"{'grid':9s} {'coefficient':11s} {'time':>11s} {'iters':>6s} {'relres':>9s}")
+    for shape in args.grids:
+        label = str(shape[0]) if shape[1] == 1 else f"{shape[0]}x{shape[1]}"
+        for variable in (False, True):
+            b, a, hx, hy = problem(shape, variable)
+            maxiter = 10 * b.size
+            _, iters, relres = cg_solve(b, a, args.dt, hx, hy, RTOL, maxiter)
+            t = median_time(lambda: cg_solve(b, a, args.dt, hx, hy, RTOL, maxiter),
+                            args.repeats)
+            kind = "variable" if variable else "constant"
+            print(f"{label:9s} {kind:11s} {fmt(t):>11s} {iters:6d} {relres:9.1e}")
 
 
 if __name__ == "__main__":

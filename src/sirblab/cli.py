@@ -178,6 +178,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs", f"must be at least 1, got {args.jobs}")
     doc = load_json(args.config)
     base, axes, outputs, name = parse_sweep(doc)
     if outputs is not None:
@@ -238,7 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="tabulate stability over a parameter box")
     p.add_argument("--config", required=True, help="sweep JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (at most one per point and per CPU)")
     p.add_argument("--modes", type=int, default=None,
                    help="number of spatial modes per point (default 32)")
     p.set_defaults(func=cmd_sweep)

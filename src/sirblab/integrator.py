@@ -6,7 +6,9 @@ unconditionally stable) and the reactions explicitly:
     (I - dt * D_i) u_i(t+dt) = u_i(t) + dt * f_i(U(t)),   i = 1..4.
 
 Each implicit solve is a symmetric positive definite system handled by
-matrix-free conjugate gradients (see kernels). The explicit reaction
+conjugate gradients preconditioned with the exact DCT solve at the mean
+coefficient (see kernels): one iteration for a constant coefficient, a
+few dozen for a smoothly varying one. The explicit reaction
 part limits dt: steps are kept below 0.5 over a Lipschitz estimate of
 the reaction Jacobian built from the current field maxima, and the
 adaptive driver halves dt and retries whenever a step still produces a

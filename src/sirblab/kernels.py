@@ -1,13 +1,4 @@
-"""Hot numeric kernels: flux-form diffusion and the implicit CG solve.
-
-Two interchangeable backends live here. The default is numba-compiled
-loops (cached to disk so repeat runs and worker processes skip the JIT
-cost); setting the environment variable SIRBLAB_DISABLE_NUMBA=1 before
-import, or running without numba installed, selects vectorized numpy
-implementations of the same arithmetic. Both backends are importable
-directly (``diffusion_apply_numba`` / ``diffusion_apply_numpy`` and the
-``cg_solve_*`` pair) so they can be compared and benchmarked against
-each other.
+"""Hot numeric kernels: flux-form diffusion and the implicit solve.
 
 All kernels take 2D arrays; 1D fields are viewed as shape (nx, 1) with
 unit y-spacing, which makes the y-direction fluxes vanish. Per cell the
@@ -16,71 +7,48 @@ divergence is assembled as
     out = (fxE - fxW)/hx^2 + (fyN - fyS)/hy^2
 
 with a literal zero for the flux across a boundary face. Each face flux
-is computed once per cell from the same two operands in both backends,
-so mirroring u and a reverses every flux sign exactly and the output is
-bitwise mirror-symmetric.
+is computed once from the two cells it separates, so mirroring u and a
+reverses every flux sign exactly and the output is bitwise
+mirror-symmetric.
 
-The implicit step solves (I - dt*D) x = b by plain conjugate gradients.
-D is symmetric negative semidefinite, so the system matrix is symmetric
-positive definite with smallest eigenvalue 1 and CG needs no
-preconditioning at the grid sizes used here.
+The implicit step solves (I - dt*D) x = b by preconditioned conjugate
+gradients. D is symmetric negative semidefinite, so the system matrix is
+symmetric positive definite with smallest eigenvalue 1. On a uniform
+cell-centred grid with zero-flux faces the orthonormal DCT-II basis
+diagonalises the constant-coefficient stencil exactly, with eigenvalues
+-a * lam_h, lam_h = (4/h^2) sin^2(j*pi/(2N)) per axis (Strang, "The
+Discrete Cosine Transform", SIAM Review 1999). The preconditioner is
+that spectral solve at the mean coefficient. When the coefficient is
+constant it is the exact inverse, so CG converges in one iteration
+unless the rounding of that one application (about cond * eps relative)
+exceeds the tolerance; when the coefficient varies smoothly it is a close
+approximation. The transforms are dense matrix products with a cached
+basis per axis, which keeps the module numpy-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
 __all__ = [
-    "HAS_NUMBA",
     "backend_name",
     "as_2d",
     "spacing_2d",
+    "axis_spectrum",
     "diffusion_apply",
     "helmholtz_apply",
     "cg_solve",
     "diffusion_apply_numpy",
     "helmholtz_apply_numpy",
-    "cg_solve_numpy",
-    "diffusion_apply_numba",
-    "helmholtz_apply_numba",
-    "cg_solve_numba",
 ]
-
-_DISABLE_VAR = "SIRBLAB_DISABLE_NUMBA"
-
-
-def _select_backend(env_value: str | None, has_numba: bool) -> str:
-    if not has_numba:
-        return "numpy"
-    if env_value is not None and env_value.strip().lower() in ("1", "true", "yes", "on"):
-        return "numpy"
-    return "numba"
-
-
-_BACKEND = _select_backend(os.environ.get(_DISABLE_VAR), HAS_NUMBA)
 
 
 def backend_name() -> str:
-    """Active kernel backend: 'numba' or 'numpy'."""
-    return _BACKEND
+    """Kernel implementation recorded in run metadata: always 'numpy'."""
+    return "numpy"
 
 
 def as_2d(arr: np.ndarray) -> np.ndarray:
@@ -100,26 +68,31 @@ def spacing_2d(grid) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# numpy backend
+# stencil
 # ---------------------------------------------------------------------------
 
-def _face_fluxes_numpy(u, a):
-    fx = 0.5 * (a[:-1, :] + a[1:, :]) * (u[1:, :] - u[:-1, :])
-    fy = 0.5 * (a[:, :-1] + a[:, 1:]) * (u[:, 1:] - u[:, :-1])
-    return fx, fy
+def _face_weights(a):
+    """Coefficient on each interior x and y face: the mean of its two cells."""
+    return 0.5 * (a[:-1, :] + a[1:, :]), 0.5 * (a[:, :-1] + a[:, 1:])
+
+
+def _divergence(u, weights, hx, hy):
+    """div(a grad u) from precomputed face weights; boundary fluxes are zero."""
+    wx, wy = weights
+    nx, ny = u.shape
+    fx = np.zeros((nx + 1, ny))
+    np.multiply(wx, u[1:, :] - u[:-1, :], out=fx[1:-1])
+    out = (fx[1:] - fx[:-1]) / (hx * hx)
+    if ny > 1:  # a 1D field has no y faces
+        fy = np.zeros((nx, ny + 1))
+        np.multiply(wy, u[:, 1:] - u[:, :-1], out=fy[:, 1:-1])
+        out += (fy[:, 1:] - fy[:, :-1]) / (hy * hy)
+    return out
 
 
 def diffusion_apply_numpy(u, a, hx, hy):
     """div(a grad u), zero-flux boundaries, second order flux form."""
-    nx, ny = u.shape
-    fx, fy = _face_fluxes_numpy(u, a)
-    zx = np.zeros((1, ny))
-    zy = np.zeros((nx, 1))
-    fxE = np.concatenate([fx, zx], axis=0)
-    fxW = np.concatenate([zx, fx], axis=0)
-    fyN = np.concatenate([fy, zy], axis=1)
-    fyS = np.concatenate([zy, fy], axis=1)
-    return (fxE - fxW) / (hx * hx) + (fyN - fyS) / (hy * hy)
+    return _divergence(u, _face_weights(a), hx, hy)
 
 
 def helmholtz_apply_numpy(x, a, dt, hx, hy):
@@ -127,148 +100,87 @@ def helmholtz_apply_numpy(x, a, dt, hx, hy):
     return x - dt * diffusion_apply_numpy(x, a, hx, hy)
 
 
-def cg_solve_numpy(b, a, dt, hx, hy, rtol, maxiter):
-    """Solve (I - dt*D) x = b by conjugate gradients.
+diffusion_apply = diffusion_apply_numpy
+helmholtz_apply = helmholtz_apply_numpy
+
+
+# ---------------------------------------------------------------------------
+# spectral preconditioner
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=32)
+def axis_spectrum(n: int, h: float) -> tuple:
+    """Orthonormal DCT-II basis and Neumann eigenvalues of one grid axis.
+
+    Returns (C, lam): column j of the (n, n) matrix C is the cosine mode
+    cos(j*pi*(i + 1/2)/n), normalised, and lam[j] = (4/h^2) sin^2(j*pi/(2n)),
+    so the 3-point zero-flux Laplacian along the axis is C diag(-lam) C^T.
+    Both arrays are read-only because every caller shares them.
+    """
+    i = np.arange(n) + 0.5
+    j = np.arange(n)
+    basis = np.cos(np.pi * np.outer(i, j) / n) * math.sqrt(2.0 / n)
+    basis[:, 0] = math.sqrt(1.0 / n)
+    lam = (4.0 / (h * h)) * np.sin(0.5 * np.pi * j / n) ** 2
+    basis.setflags(write=False)
+    lam.setflags(write=False)
+    return basis, lam
+
+
+def _mean_coefficient_solver(a, dt, hx, hy):
+    """r -> (I - dt*abar*D_1)^{-1} r, with D_1 the unit-coefficient stencil."""
+    nx, ny = a.shape
+    cx, lx = axis_spectrum(nx, hx)
+    cy, ly = axis_spectrum(ny, hy)
+    abar = float(a.sum()) / a.size
+    inv = 1.0 / (1.0 + (dt * abar) * (lx[:, None] + ly[None, :]))
+    if ny == 1:  # a 1D field: the y transform is the 1x1 identity
+        return lambda r: cx @ ((cx.T @ r) * inv)
+    return lambda r: cx @ ((cx.T @ r @ cy) * inv) @ cy.T
+
+
+def cg_solve(b, a, dt, hx, hy, rtol, maxiter):
+    """Solve (I - dt*D) x = b by preconditioned conjugate gradients.
 
     Starts from x = b, so a constant right-hand side (D b = 0) is
-    returned unchanged without a single iteration. Returns
-    (x, iterations, relative_residual); convergence is the caller's
-    check ``relres <= rtol``.
+    returned unchanged without a single iteration. The preconditioner is
+    the exact spectral solve at the mean of ``a``. Convergence is judged
+    on the unpreconditioned residual: returns (x, iterations,
+    relative_residual), and the caller checks ``relres <= rtol``.
     """
+    weights = _face_weights(a)
+
+    def helmholtz(v):
+        # helmholtz_apply(v, a, ...) with the face weights computed once
+        return v - dt * _divergence(v, weights, hx, hy)
+
     x = b.copy()
     bnorm = math.sqrt(float(np.dot(b.ravel(), b.ravel())))
     if bnorm == 0.0:
         return x, 0, 0.0
-    r = b - helmholtz_apply_numpy(x, a, dt, hx, hy)
+    r = b - helmholtz(x)
     rs = float(np.dot(r.ravel(), r.ravel()))
     target = rtol * bnorm
     if math.sqrt(rs) <= target:
         return x, 0, math.sqrt(rs) / bnorm
-    p = r.copy()
+    precondition = _mean_coefficient_solver(a, dt, hx, hy)
+    z = precondition(r)
+    rz = float(np.dot(r.ravel(), z.ravel()))
+    p = z
     it = 0
     for it in range(1, int(maxiter) + 1):
-        ap = helmholtz_apply_numpy(p, a, dt, hx, hy)
+        ap = helmholtz(p)
         pap = float(np.dot(p.ravel(), ap.ravel()))
         if pap <= 0.0:
             break
-        alpha = rs / pap
+        alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = float(np.dot(r.ravel(), r.ravel()))
-        if math.sqrt(rs_new) <= target:
-            return x, it, math.sqrt(rs_new) / bnorm
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, it, math.sqrt(rs) / bnorm
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _diffusion_apply_jit(u, a, hx, hy):
-        nx, ny = u.shape
-        invhx2 = 1.0 / (hx * hx)
-        invhy2 = 1.0 / (hy * hy)
-        out = np.empty_like(u)
-        for i in range(nx):
-            for j in range(ny):
-                fxE = 0.0
-                if i < nx - 1:
-                    fxE = 0.5 * (a[i, j] + a[i + 1, j]) * (u[i + 1, j] - u[i, j])
-                fxW = 0.0
-                if i > 0:
-                    fxW = 0.5 * (a[i - 1, j] + a[i, j]) * (u[i, j] - u[i - 1, j])
-                fyN = 0.0
-                if j < ny - 1:
-                    fyN = 0.5 * (a[i, j] + a[i, j + 1]) * (u[i, j + 1] - u[i, j])
-                fyS = 0.0
-                if j > 0:
-                    fyS = 0.5 * (a[i, j - 1] + a[i, j]) * (u[i, j] - u[i, j - 1])
-                out[i, j] = (fxE - fxW) * invhx2 + (fyN - fyS) * invhy2
-        return out
-
-    @njit(cache=True)
-    def _helmholtz_apply_jit(x, a, dt, hx, hy):
-        d = _diffusion_apply_jit(x, a, hx, hy)
-        nx, ny = x.shape
-        out = np.empty_like(x)
-        for i in range(nx):
-            for j in range(ny):
-                out[i, j] = x[i, j] - dt * d[i, j]
-        return out
-
-    @njit(cache=True)
-    def _dot_jit(u, v):
-        nx, ny = u.shape
-        acc = 0.0
-        for i in range(nx):
-            for j in range(ny):
-                acc += u[i, j] * v[i, j]
-        return acc
-
-    @njit(cache=True)
-    def _cg_solve_jit(b, a, dt, hx, hy, rtol, maxiter):
-        x = b.copy()
-        bnorm = math.sqrt(_dot_jit(b, b))
-        if bnorm == 0.0:
-            return x, 0, 0.0
-        r = b - _helmholtz_apply_jit(x, a, dt, hx, hy)
-        rs = _dot_jit(r, r)
-        target = rtol * bnorm
+        rs = float(np.dot(r.ravel(), r.ravel()))
         if math.sqrt(rs) <= target:
-            return x, 0, math.sqrt(rs) / bnorm
-        p = r.copy()
-        it = 0
-        for it in range(1, maxiter + 1):
-            ap = _helmholtz_apply_jit(p, a, dt, hx, hy)
-            pap = _dot_jit(p, ap)
-            if pap <= 0.0:
-                break
-            alpha = rs / pap
-            nx, ny = x.shape
-            for i in range(nx):
-                for j in range(ny):
-                    x[i, j] += alpha * p[i, j]
-                    r[i, j] -= alpha * ap[i, j]
-            rs_new = _dot_jit(r, r)
-            if math.sqrt(rs_new) <= target:
-                return x, it, math.sqrt(rs_new) / bnorm
-            beta = rs_new / rs
-            for i in range(nx):
-                for j in range(ny):
-                    p[i, j] = r[i, j] + beta * p[i, j]
-            rs = rs_new
-        return x, it, math.sqrt(rs) / bnorm
-
-    def diffusion_apply_numba(u, a, hx, hy):
-        return _diffusion_apply_jit(u, a, hx, hy)
-
-    def helmholtz_apply_numba(x, a, dt, hx, hy):
-        return _helmholtz_apply_jit(x, a, dt, hx, hy)
-
-    def cg_solve_numba(b, a, dt, hx, hy, rtol, maxiter):
-        x, it, relres = _cg_solve_jit(b, a, dt, hx, hy, rtol, int(maxiter))
-        return x, int(it), float(relres)
-
-else:  # pragma: no cover - exercised only without numba
-    diffusion_apply_numba = None
-    helmholtz_apply_numba = None
-    cg_solve_numba = None
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if _BACKEND == "numba":
-    diffusion_apply = diffusion_apply_numba
-    helmholtz_apply = helmholtz_apply_numba
-    cg_solve = cg_solve_numba
-else:
-    diffusion_apply = diffusion_apply_numpy
-    helmholtz_apply = helmholtz_apply_numpy
-    cg_solve = cg_solve_numpy
+            return x, it, math.sqrt(rs) / bnorm
+        z = precondition(r)
+        rz_new = float(np.dot(r.ravel(), z.ravel()))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, it, math.sqrt(rs) / bnorm

@@ -120,9 +120,10 @@ def run_sweep(base: dict, axes, outputs, modes: int, out_dir: str,
               jobs: int = 1, on_row=None) -> str:
     """Evaluate every axis combination; returns the path of the sweep table.
 
-    Writes point_NNNNN.json per point as results arrive, then the combined
-    sweep.csv in one atomic rename.  jobs > 1 distributes points across
-    processes; row order is always the lexicographic axis order.
+    Evaluates every point first, then writes point_NNNNN.json per point
+    and the combined sweep.csv in one atomic rename.  jobs > 1 distributes
+    points across min(jobs, points, CPUs) processes; row order is always
+    the lexicographic axis order.
     """
     if outputs is None:
         outputs = list(DEFAULT_OUTPUTS)
@@ -145,8 +146,9 @@ def run_sweep(base: dict, axes, outputs, modes: int, out_dir: str,
             "modes": modes,
         })
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(evaluate_point, points, chunksize=1))
     else:
         records = [evaluate_point(pt) for pt in points]

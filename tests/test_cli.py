@@ -286,6 +286,18 @@ def test_sweep_unknown_output_exits_2(tmp_path, capsys):
     assert "bogus" in stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    doc = sweep_doc([{"param": "beta2", "values": [0.5]}], None)
+    cfg = write_json(tmp_path, "sweep.json", doc)
+    out = tmp_path / "o"
+    rc, _, stderr = run_cli(capsys, "sweep", "--config", cfg, "--out", str(out),
+                            "--jobs", jobs)
+    assert rc == 2
+    assert "--jobs" in stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------

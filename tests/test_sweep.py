@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from sirblab import sweep
 from sirblab.sweep import (
     DEFAULT_OUTPUTS,
     OUTPUT_COLUMNS,
@@ -158,3 +159,35 @@ def test_row_callback_sees_every_point_in_order(tmp_path):
     run_sweep(base_doc(), [("d1", [0.5, 1.0])], ["Z2.exists"], 8,
               str(tmp_path), on_row=lambda i, axes, rec: seen.append((i, axes["d1"])))
     assert seen == [(0, 0.5), (1, 1.0)]
+
+
+@pytest.mark.parametrize("jobs,cpus,expected", [
+    (64, 4, [4]),   # capped by the CPU count
+    (64, 16, [6]),  # capped by the number of points
+    (2, 4, [2]),    # as asked
+    (64, 1, []),    # one CPU: no pool at all
+])
+def test_worker_count_is_capped(tmp_path, monkeypatch, jobs, cpus, expected):
+    sizes = []
+
+    class RecordingPool:
+        """Serial stand-in for ProcessPoolExecutor that records its size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    run_sweep(base_doc(), [("d1", [0.5, 0.75, 1.0, 1.25, 1.5, 1.75])],
+              ["Z2.exists"], 8, str(tmp_path), jobs=jobs)
+    assert sizes == expected
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 7
