@@ -1,4 +1,6 @@
-"""Time and iteration count of the implicit solve, kernels.cg_solve.
+"""Time of the implicit solve and of the mode analysis.
+
+Implicit solve, kernels.cg_solve.
 
 Solves (I - dt*D) x = b once per repeat on each grid, with a constant
 coefficient (the preconditioner is then the exact inverse) and with a
@@ -15,17 +17,35 @@ thread)::
 At 256x256 the constant case needs a second iteration: one application
 leaves a rounding residual of about cond * eps, above the 1e-13 target.
 
+Mode analysis, on the 2 x 1 domain with 64x32 cells of the sweep-2d
+benchmark workload and the rates of scenarios/turing_point.json: the
+median time of grid.neumann_modes per mode count, and of
+stability.classify_state on the endemic (Z4) state per mode::
+
+    neumann_modes  64x32     256 modes     812.4 us
+    neumann_modes  64x32    1024 modes      3.65 ms
+    neumann_modes  64x32    4096 modes     17.61 ms
+    classify_state Z4        256 modes       8.8 us/mode
+
 Run as ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``; --grids
 takes grid shapes such as ``64 64x64 96x96 256x256``.
 """
 
 import argparse
+import json
 import math
+import pathlib
 import time
 
 import numpy as np
 
+from sirblab.grid import Grid, neumann_modes
 from sirblab.kernels import cg_solve
+from sirblab.model import ModelParams
+from sirblab.stability import DiffusionMatrix, classify_state
+from sirblab.steady import solve_endemic
+
+SCENARIO = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "turing_point.json"
 
 RTOL = 1e-13
 
@@ -90,6 +110,21 @@ def main():
                             args.repeats)
             kind = "variable" if variable else "constant"
             print(f"{label:9s} {kind:11s} {fmt(t):>11s} {iters:6d} {relres:9.1e}")
+
+    print()
+    grid = Grid((2.0, 1.0), (64, 32))
+    for count in (256, 1024, 4096):
+        t = median_time(lambda: neumann_modes(grid, count), args.repeats)
+        print(f"neumann_modes  64x32  {count:6d} modes  {fmt(t):>11s}")
+    doc = json.loads(SCENARIO.read_text())
+    p = ModelParams.from_dict(doc["params"])
+    diff = DiffusionMatrix(*(doc["coefficients"][k]["value"]
+                             for k in ("a1", "a2", "a3", "a4")))
+    z4 = solve_endemic(p)[0]
+    spectrum = neumann_modes(grid, 256)
+    t = median_time(lambda: classify_state(z4, p, diff, spectrum), args.repeats)
+    print(f"classify_state {z4.tag[:2]:6s} {len(spectrum):6d} modes  "
+          f"{t / len(spectrum) * 1e6:8.1f} us/mode")
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ fields have exactly zero projection on every mode with j >= 1.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -334,24 +335,32 @@ def neumann_modes(grid: Grid, count: int) -> ModeSpectrum:
     """The `count` smallest Laplacian eigenvalues on the domain.
 
     1D: lambda_j = (j pi / Lx)^2 for j = 0, 1, ...
-    2D: sorted sums (jx pi / Lx)^2 + (jy pi / Ly)^2 over all index
-        pairs, repeated eigenvalues kept with their multiplicity.
-    Ties are broken by the index tuple so the ordering is deterministic.
+    2D: lambda = (jx pi / Lx)^2 + (jy pi / Ly)^2, repeated eigenvalues
+        kept with their multiplicity. Only index pairs under a bound that
+        is certain to hold `count` modes are enumerated and sorted, about
+        2*count of them: each corner rectangle of a x b pairs with
+        a*b >= count holds `count` modes, so the smallest over a of the
+        largest lambda in the a x ceil(count/a) rectangle (the k x k
+        square and the single axis among them) bounds the count-th mode.
+    Ties are broken by the index tuple, so the ordering is deterministic
+    and equal to a sort of all count x count pairs.
     """
     count = int(count)
     if count < 1:
         raise ValueError(f"mode count must be >= 1, got {count}")
+    axes = [[(j * math.pi / L) ** 2 for j in range(count)] for L in grid.lengths]
     if grid.dim == 1:
-        L = grid.lengths[0]
-        cand = [((j * math.pi / L) ** 2, (j,)) for j in range(count)]
+        cand = [(lam, (j,)) for j, lam in enumerate(axes[0])]
     else:
-        Lx, Ly = grid.lengths
-        cand = []
-        for jx in range(count):
-            for jy in range(count):
-                lam = (jx * math.pi / Lx) ** 2 + (jy * math.pi / Ly) ** 2
-                cand.append((lam, (jx, jy)))
-    cand.sort(key=lambda t: (t[0], t[1]))
+        lx, ly = axes
+        bound = min(lx[a - 1] + ly[(count - 1) // a] for a in range(1, count + 1))
+        # Rounding keeps the sums monotone in each index, so a pair under
+        # the bound has both axis terms under it.
+        lx = lx[:bisect.bisect_right(lx, bound)]
+        ly = ly[:bisect.bisect_right(ly, bound)]
+        cand = [(x + y, (jx, jy)) for jx, x in enumerate(lx)
+                for jy, y in enumerate(ly) if x + y <= bound]
+        cand.sort()
     modes = tuple(
         Mode(j, idx, lam, _describe(idx, grid.lengths))
         for j, (lam, idx) in enumerate(cand[:count])

@@ -328,7 +328,7 @@ def stability_dt(state: StateField, p: ModelParams) -> float:
     Row sums of |df/du| are bounded using the current field maxima;
     h1 <= 1 and h1' <= 1/k2 bound the ingestion terms.
     """
-    smax, imax, _, bmax = state.sup_norms()
+    smax, imax, _, bmax = state.sup_norms().tolist()  # floats, so dt and t stay floats
     trans = p.beta1 * imax + p.beta2 + p.beta1 * smax + p.beta2 * smax / p.k2
     l1 = p.b0 * (1.0 + 2.0 * smax / p.k1) + p.d1 + p.sigma + trans
     l2 = (p.d2 + p.gamma) + trans

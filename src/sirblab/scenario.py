@@ -56,9 +56,14 @@ __all__ = [
     "analysis_mode_count",
     "parse_sweep",
     "DEFAULT_MODE_COUNT",
+    "MAX_MODE_COUNT",
 ]
 
 DEFAULT_MODE_COUNT = 32
+
+# Upper limit on --modes / analysis.modes: every steady state builds one
+# 4x4 mode matrix per mode, so larger lists only burn time and memory.
+MAX_MODE_COUNT = 65536
 
 _COEFF_KEYS = ("a1", "a2", "a3", "a4")
 
@@ -276,18 +281,23 @@ def build_sim_config(doc: dict, seed_override: int | None = None) -> SimConfig:
 
 
 def analysis_mode_count(doc: dict, override: int | None = None) -> int:
+    """Mode count for stability/sweep: the override, analysis.modes or the default.
+
+    Counts outside [1, MAX_MODE_COUNT] raise ConfigError naming the field.
+    """
     if override is not None:
-        if override < 1:
-            raise ConfigError("--modes", f"mode count must be >= 1, got {override}")
-        return override
-    analysis = doc.get("analysis")
-    if analysis is None:
-        return DEFAULT_MODE_COUNT
-    analysis = _as_dict(analysis, "analysis")
-    count = analysis.get("modes", DEFAULT_MODE_COUNT)
-    count = _as_int(count, "analysis.modes")
+        count, path = override, "--modes"
+    else:
+        analysis = doc.get("analysis")
+        if analysis is None:
+            return DEFAULT_MODE_COUNT
+        analysis = _as_dict(analysis, "analysis")
+        count = _as_int(analysis.get("modes", DEFAULT_MODE_COUNT), "analysis.modes")
+        path = "analysis.modes"
     if count < 1:
-        raise ConfigError("analysis.modes", f"mode count must be >= 1, got {count}")
+        raise ConfigError(path, f"mode count must be >= 1, got {count}")
+    if count > MAX_MODE_COUNT:
+        raise ConfigError(path, f"mode count must be <= {MAX_MODE_COUNT}, got {count}")
     return count
 
 

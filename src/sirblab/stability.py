@@ -29,6 +29,14 @@ Two routes are computed per mode and cross-checked:
 
 Cubics are classified by sign tests on their coefficients
 (``classify_cubic``), the quadratic and linear factors in closed form.
+
+Both routes run on the whole spectrum at once: ``classify_state``
+assembles every M_j as one (n, 4, 4) stack, and the eigenvalues, the
+Frobenius norms, the closed forms (stacked determinants and
+companion-matrix eigenvalues for the cubics) and the match over the 24
+pairings of numeric and closed-form eigenvalues each take one numpy call
+per steady state. Each mode's values are bit-identical to those of the
+mode computed alone; only the scalar verdict logic loops over modes.
 """
 
 from __future__ import annotations
@@ -141,29 +149,40 @@ def jacobian(z, p: ModelParams, tag: str = "numeric") -> Jacobian4:
     return Jacobian4(m, tag)
 
 
-def mode_matrix(jac: Jacobian4, diff: DiffusionMatrix, lam: float) -> np.ndarray:
-    """J - lambda * diag(a) for one Laplacian eigenvalue lambda >= 0."""
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ValueError(f"Laplacian eigenvalue must be >= 0, got {lam}")
-    return jac.matrix - lam * np.diag(diff.as_array())
+def mode_matrix(jac: Jacobian4, diff: DiffusionMatrix, lam) -> np.ndarray:
+    """J - lambda * diag(a) for a Laplacian eigenvalue lambda >= 0.
+
+    A 1D array of n eigenvalues gives the (n, 4, 4) stack of mode
+    matrices; a scalar gives one 4x4 matrix.
+    """
+    lam = np.asarray(lam, dtype=float)
+    bad = ~(np.isfinite(lam) & (lam >= 0.0))
+    if np.any(bad):
+        raise ValueError(f"Laplacian eigenvalue must be >= 0, got {float(lam[bad][0])}")
+    return jac.matrix - lam[..., None, None] * np.diag(diff.as_array())
 
 
 def eigenvalues4(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real 4x4 matrix, sorted by real part descending.
 
-    Delegates to LAPACK's balanced reduction and QR iteration through
-    numpy; ties in the real part are broken by imaginary part
-    descending so the ordering is deterministic.
+    An (n, 4, 4) stack gives an (n, 4) array, one sorted row per matrix,
+    from a single LAPACK call; each row equals the result for that
+    matrix alone. Delegates to LAPACK's balanced reduction and QR
+    iteration through numpy; ties in the real part are broken by
+    imaginary part descending so the ordering is deterministic.
     """
     m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    eigs = np.linalg.eigvals(m)
-    order = np.lexsort((-eigs.imag, -eigs.real))
-    return eigs[order]
+    return _sorted_eigs(np.linalg.eigvals(m))
+
+
+def _sorted_eigs(eigs: np.ndarray) -> np.ndarray:
+    """Each row by real part descending, then imaginary part descending."""
+    order = np.lexsort((-eigs.imag, -eigs.real), axis=-1)
+    return np.take_along_axis(eigs, order, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -353,35 +372,62 @@ def _verdict_from_max_real(max_real: float, tol: float) -> str:
     return "unstable" if max_real > 0.0 else "stable"
 
 
-def _match_eigs(a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest max pairwise distance over all pairings of two eig lists."""
-    best = math.inf
-    for perm in itertools.permutations(range(len(b))):
-        d = max(abs(a[k] - b[perm[k]]) for k in range(len(a)))
-        best = min(best, d)
-    return best
+def _match_eigs(a: np.ndarray, b: np.ndarray):
+    """Smallest max pairwise distance over all pairings of two eig lists.
+
+    a and b are (..., n) arrays; the result has the leading shape, one
+    distance per pair of rows.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    perms = np.array(list(itertools.permutations(range(b.shape[-1]))))
+    dist = np.abs(a[..., None, :] - b[..., perms])
+    return dist.max(axis=-1).min(axis=-1)
 
 
-def _quadratic_roots(m1: float, m2: float):
-    """Roots of mu^2 - m1*mu + m2, complex-aware."""
+def _quadratic_roots(m1: np.ndarray, m2: np.ndarray):
+    """Roots of mu^2 - m1*mu + m2 per entry, complex-aware."""
     disc = m1 * m1 - 4.0 * m2
-    if disc >= 0.0:
-        rt = math.sqrt(disc)
-        return complex(0.5 * (m1 + rt)), complex(0.5 * (m1 - rt))
-    rt = math.sqrt(-disc)
-    return complex(0.5 * m1, 0.5 * rt), complex(0.5 * m1, -0.5 * rt)
+    rt = np.sqrt(np.abs(disc))
+    real = disc >= 0.0
+    mu3 = np.empty(np.shape(disc), dtype=complex)
+    mu4 = np.empty_like(mu3)
+    mu3.real = np.where(real, 0.5 * (m1 + rt), 0.5 * m1)
+    mu4.real = np.where(real, 0.5 * (m1 - rt), 0.5 * m1)
+    mu3.imag = np.where(real, 0.0, 0.5 * rt)
+    mu4.imag = np.where(real, 0.0, -0.5 * rt)
+    return mu3, mu4
 
 
-def _cubic_of_block(block: np.ndarray) -> CubicCoeffs:
-    """Characteristic coefficients of a 3x3 block, det(mu I - block)."""
-    tr = block[0, 0] + block[1, 1] + block[2, 2]
+def _cubic_of_block(block: np.ndarray):
+    """Characteristic coefficients (p, q, h) of det(mu I - block).
+
+    block is a 3x3 matrix or an (n, 3, 3) stack; p, q, h have the
+    leading shape.
+    """
+    b = np.moveaxis(block, (-2, -1), (0, 1))
+    tr = b[0, 0] + b[1, 1] + b[2, 2]
     minors = (
-        block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-        + block[0, 0] * block[2, 2] - block[0, 2] * block[2, 0]
-        + block[1, 1] * block[2, 2] - block[1, 2] * block[2, 1]
+        b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+        + b[0, 0] * b[2, 2] - b[0, 2] * b[2, 0]
+        + b[1, 1] * b[2, 2] - b[1, 2] * b[2, 1]
     )
-    det = float(np.linalg.det(block))
-    return CubicCoeffs(p=float(-tr), q=float(minors), h=float(-det))
+    return -tr, minors, -np.linalg.det(block)
+
+
+def _cubic_roots(p: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Roots of mu^3 + p mu^2 + q mu + h per entry, shape (n, 3).
+
+    Companion-matrix eigenvalues in one stacked call, built as np.roots
+    builds them; entries with h == 0, where np.roots strips trailing zero
+    coefficients, go through np.roots itself.
+    """
+    comp = np.zeros((len(p), 3, 3))
+    comp[:, 0, 0], comp[:, 0, 1], comp[:, 0, 2] = -p, -q, -h
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(comp).astype(complex)
+    for k in np.flatnonzero(h == 0.0):
+        roots[k] = CubicCoeffs(p[k], q[k], h[k]).roots()
+    return roots
 
 
 def _cubic_verdict(cubic: CubicCoeffs, extra_real: float, tol: float):
@@ -410,52 +456,55 @@ def _cubic_verdict(cubic: CubicCoeffs, extra_real: float, tol: float):
     return cls.value, "stable"
 
 
-def _closed_form(tag: str, jac: Jacobian4, diff: DiffusionMatrix, lam: float,
-                 m: np.ndarray, tol: float):
+def _closed_form(tag: str, jac: Jacobian4, m: np.ndarray, tol: np.ndarray):
     """Closed-form eigenvalues/classification for the known families.
 
-    Returns (eigs or None, cubic or None, cubic_class or None,
-    verdict or None, exact: bool). ``exact`` marks families where the
-    closed form reproduces the full spectrum and is checked against the
-    numeric eigenvalues at CROSSCHECK_RTOL.
+    m is the (n, 4, 4) stack of mode matrices and tol their (n,)
+    marginal tolerances. Returns (eigs, cubics, cubic_classes, verdicts,
+    exact): eigs is an (n, 4) array when ``exact`` and None otherwise,
+    the other three are lists with one entry (or None) per mode.
+    ``exact`` marks families where the closed form reproduces the full
+    spectrum and is checked against the numeric eigenvalues at
+    CROSSCHECK_RTOL.
     """
-    j = jac.matrix
-    a = diff.as_array()
-    if tag == "Z1":
-        eigs = np.array([complex(j[k, k] - lam * a[k]) for k in range(4)])
-        order = np.lexsort((-eigs.imag, -eigs.real))
-        eigs = eigs[order]
-        verdict = _verdict_from_max_real(float(np.max(eigs.real)), tol)
-        return eigs, None, None, verdict, True
-    if tag == "Z2":
-        mu1 = complex(j[0, 0] - lam * a[0])
-        mu2 = complex(j[2, 2] - lam * a[2])
-        m1 = (j[1, 1] - lam * a[1]) + (j[3, 3] - lam * a[3])
-        m2 = (j[1, 1] - lam * a[1]) * (j[3, 3] - lam * a[3]) - j[3, 1] * j[1, 3]
-        mu3, mu4 = _quadratic_roots(m1, m2)
-        eigs = np.array([mu1, mu2, mu3, mu4])
-        order = np.lexsort((-eigs.imag, -eigs.real))
-        eigs = eigs[order]
-        verdict = _verdict_from_max_real(float(np.max(eigs.real)), tol)
-        return eigs, None, None, verdict, True
-    if tag == "Z3":
-        # B column decouples; (S, I, R) block leaves a cubic.
-        block = m[:3, :3]
-        cubic = _cubic_of_block(block)
-        mu_b = float(m[3, 3])
-        cls_str, verdict = _cubic_verdict(cubic, mu_b, tol)
-        roots = np.append(cubic.roots().astype(complex), complex(mu_b))
-        order = np.lexsort((-roots.imag, -roots.real))
-        return roots[order], cubic, cls_str, verdict, True
-    if tag.startswith("Z4"):
-        # Reduced (S, I, R) cubic plus the B diagonal; drops the B
-        # couplings, so only compared at classification level.
-        block = m[:3, :3]
-        cubic = _cubic_of_block(block)
-        mu_b = float(m[3, 3])
-        cls_str, verdict = _cubic_verdict(cubic, mu_b, tol)
-        return None, cubic, cls_str, verdict, False
-    return None, None, None, None, False
+    d = np.diagonal(m, axis1=-2, axis2=-1)  # J_kk - lambda * a_k
+    n = len(m)
+    none = [None] * n
+    if tag in ("Z1", "Z2"):
+        eigs = np.empty((n, 4), dtype=complex)
+        if tag == "Z1":
+            eigs[:] = d
+        else:
+            j = jac.matrix
+            eigs[:, 0], eigs[:, 1] = d[:, 0], d[:, 2]
+            m1 = d[:, 1] + d[:, 3]
+            m2 = d[:, 1] * d[:, 3] - j[3, 1] * j[1, 3]
+            eigs[:, 2], eigs[:, 3] = _quadratic_roots(m1, m2)
+        eigs = _sorted_eigs(eigs)
+        verdicts = [_verdict_from_max_real(x, t) for x, t in
+                    zip(np.max(eigs.real, axis=-1).tolist(), tol.tolist())]
+        return eigs, none, none, verdicts, True
+    if tag != "Z3" and not tag.startswith("Z4"):
+        return None, none, none, none, False
+    # Z3: the B column decouples and the (S, I, R) block leaves a cubic.
+    # Z4: reduced (S, I, R) cubic plus the B diagonal; drops the B
+    # couplings, so only compared at classification level.
+    p, q, h = _cubic_of_block(m[:, :3, :3])
+    mu_b = d[:, 3]
+    cubics, classes, verdicts = [], [], []
+    for pk, qk, hk, bk, tk in zip(p.tolist(), q.tolist(), h.tolist(),
+                                  mu_b.tolist(), tol.tolist()):
+        cubic = CubicCoeffs(p=pk, q=qk, h=hk)
+        cls_str, verdict = _cubic_verdict(cubic, bk, tk)
+        cubics.append(cubic)
+        classes.append(cls_str)
+        verdicts.append(verdict)
+    if tag != "Z3":
+        return None, cubics, classes, verdicts, False
+    roots = np.empty((n, 4), dtype=complex)
+    roots[:, :3] = _cubic_roots(p, q, h)
+    roots[:, 3] = mu_b
+    return _sorted_eigs(roots), cubics, classes, verdicts, True
 
 
 def gershgorin_tail(jac: Jacobian4, diff: DiffusionMatrix) -> float:
@@ -502,25 +551,33 @@ def classify_state(state, p: ModelParams, diff: DiffusionMatrix,
         jm = jac.matrix
         coupling = math.sqrt(jm[0, 3] ** 2 + jm[1, 3] ** 2 + jm[3, 1] ** 2)
 
+    # Every numeric step runs once on the (n, 4, 4) stack of mode matrices;
+    # only the scalar verdict logic below loops over modes.
+    modes = spectrum.modes if hasattr(spectrum, "modes") else spectrum
+    m = mode_matrix(jac, diff, [mode.lam for mode in modes])
+    eigs = eigenvalues4(m)
+    max_reals = np.max(eigs.real, axis=-1).tolist()
+    # Frobenius norms summed as np.linalg.norm sums one matrix (a dot
+    # product of the 16 entries), so tol is the same float either way.
+    flat = m.reshape(len(m), 1, 16)
+    norms = np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
+    tols = MARGINAL_RTOL * (1.0 + norms)
+
+    cf_eigs, cubics, cubic_classes, cf_verdicts, exact = _closed_form(
+        base_tag, jac, m, tols)
+    if exact:
+        mismatches = _match_eigs(eigs, cf_eigs).tolist()
+    norms, tols = norms.tolist(), tols.tolist()
+
     per_mode = []
-    for mode in spectrum.modes if hasattr(spectrum, "modes") else spectrum:
-        m = mode_matrix(jac, diff, mode.lam)
-        eigs = eigenvalues4(m)
-        max_real = float(np.max(eigs.real))
-        norm = float(np.linalg.norm(m))
-        tol = MARGINAL_RTOL * (1.0 + norm)
+    for k, mode in enumerate(modes):
+        max_real, tol, cf_verdict = max_reals[k], tols[k], cf_verdicts[k]
         verdict = _verdict_from_max_real(max_real, tol)
-
-        cf_eigs, cubic, cubic_cls, cf_verdict, exact = _closed_form(
-            base_tag, jac, diff, mode.lam, m, tol)
-
-        if exact and cf_eigs is not None:
-            mismatch = _match_eigs(eigs, cf_eigs)
-            if mismatch > CROSSCHECK_RTOL * (1.0 + norm):
-                raise ConsistencyError(
-                    f"{st.tag} mode {mode.j} (lambda={mode.lam:.6g}): closed-form "
-                    f"eigenvalues deviate from numeric ones by {mismatch:.3e}"
-                )
+        if exact and mismatches[k] > CROSSCHECK_RTOL * (1.0 + norms[k]):
+            raise ConsistencyError(
+                f"{st.tag} mode {mode.j} (lambda={mode.lam:.6g}): closed-form "
+                f"eigenvalues deviate from numeric ones by {mismatches[k]:.3e}"
+            )
         if cf_verdict is not None and cf_verdict != verdict:
             disagree_hard = (
                 "marginal" not in (cf_verdict, verdict)
@@ -534,9 +591,10 @@ def classify_state(state, p: ModelParams, diff: DiffusionMatrix,
                 )
 
         per_mode.append(ModeVerdict(
-            j=mode.j, lam=mode.lam, eigenvalues=eigs, max_real=max_real,
-            tol=tol, classification=verdict, cubic=cubic, cubic_class=cubic_cls,
-            closed_form_eigs=cf_eigs,
+            j=mode.j, lam=mode.lam, eigenvalues=eigs[k], max_real=max_real,
+            tol=tol, classification=verdict,
+            cubic=cubics[k], cubic_class=cubic_classes[k],
+            closed_form_eigs=cf_eigs[k] if exact else None,
             closed_form_class=cf_verdict,
         ))
 
@@ -580,9 +638,9 @@ def _aux_quantities(base_tag: str, st: SteadyState, p: ModelParams,
         aux["M1"] = float(j[1, 1] + j[3, 3])
         aux["M2"] = float(j[1, 1] * j[3, 3] - j[3, 1] * j[1, 3])
     if base_tag == "Z4":
-        cubic = _cubic_of_block(j[:3, :3])
+        p0, q0, h0 = _cubic_of_block(j[:3, :3])
         aux["L0"] = float(-j[0, 0])
-        aux["p0"] = cubic.p
-        aux["q0"] = cubic.q
-        aux["h0"] = cubic.h
+        aux["p0"] = float(p0)
+        aux["q0"] = float(q0)
+        aux["h0"] = float(h0)
     return aux

@@ -1,13 +1,17 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import pathlib
 
 import pytest
 
 from sirblab.cli import main
 from sirblab.grid import Grid, neumann_modes
+from sirblab.scenario import MAX_MODE_COUNT
 
 from common import REF, DAMPED
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def write_json(tmp_path, name, doc):
@@ -140,6 +144,20 @@ def test_simulate_writes_the_advertised_artifacts(tmp_path, capsys):
     # the timestamp is confined to meta.json
     for name in meta["files"]:
         assert "timestamp" not in (out / name).read_text()
+
+
+def test_every_trajectory_cell_is_a_plain_float(tmp_path, capsys):
+    # adaptive steps must not leak numpy scalars into the recorded times,
+    # which repr would spell as np.float64(...)
+    cfg = str(SCENARIOS / "endemic_1d.json")
+    out = tmp_path / "run"
+    rc, _, _ = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert rc == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) > 2
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
 
 
 def test_simulate_reruns_byte_identically(tmp_path, capsys):
@@ -295,6 +313,35 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
                             "--jobs", jobs)
     assert rc == 2
     assert "--jobs" in stderr
+    assert not out.exists()
+
+
+def _forbid_mode_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("modes enumerated before the count was validated")
+    monkeypatch.setattr("sirblab.cli.neumann_modes", refuse)
+    monkeypatch.setattr("sirblab.sweep.neumann_modes", refuse)
+
+
+def test_stability_rejects_mode_count_above_cap(tmp_path, capsys, monkeypatch):
+    _forbid_mode_enumeration(monkeypatch)
+    cfg = write_json(tmp_path, "cfg.json", scenario_doc())
+    rc, stdout, stderr = run_cli(capsys, "stability", "--config", cfg,
+                                 "--modes", str(MAX_MODE_COUNT + 1))
+    assert rc == 2
+    assert stdout == ""
+    assert "--modes" in stderr and str(MAX_MODE_COUNT) in stderr
+
+
+def test_sweep_rejects_mode_count_above_cap(tmp_path, capsys, monkeypatch):
+    _forbid_mode_enumeration(monkeypatch)
+    doc = sweep_doc([{"param": "beta2", "values": [0.5]}], None)
+    doc["base"]["analysis"] = {"modes": 10**9}
+    cfg = write_json(tmp_path, "sweep.json", doc)
+    out = tmp_path / "o"
+    rc, _, stderr = run_cli(capsys, "sweep", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert "analysis.modes" in stderr
     assert not out.exists()
 
 

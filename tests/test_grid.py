@@ -82,6 +82,42 @@ def test_modes_reject_bad_count():
         neumann_modes(Grid((1.0,), (8,)), 0)
 
 
+def _brute_force_modes(grid, count):
+    """(lambda, indices, description) of the first `count` of all count^dim
+    index tuples, sorted by (lambda, indices): the reference enumeration."""
+    axes = [[(j * math.pi / L) ** 2 for j in range(count)] for L in grid.lengths]
+    if grid.dim == 1:
+        cand = [(lam, (j,)) for j, lam in enumerate(axes[0])]
+    else:
+        cand = [(lx + ly, (jx, jy)) for jx, lx in enumerate(axes[0])
+                for jy, ly in enumerate(axes[1])]
+    cand.sort()
+    out = []
+    for lam, idx in cand[:count]:
+        parts = [f"cos({j}*pi*{'xy'[k]}/{L:g})"
+                 for k, (j, L) in enumerate(zip(idx, grid.lengths)) if j]
+        out.append((lam, idx, "*".join(parts) or "1"))
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 64, 300])
+@pytest.mark.parametrize("grid", [
+    Grid((2.0,), (64,)),                    # 1D
+    Grid((math.pi, math.pi), (12, 12)),     # square: multiplicities and ties
+    Grid((2.0, 1.0), (64, 32)),             # 2:1 rectangle
+    Grid((1.0, math.sqrt(2.0)), (16, 16)),  # irrational aspect ratio
+], ids=["1d", "square", "rect-2to1", "irrational"])
+def test_modes_equal_brute_force_sort(grid, count):
+    spec = neumann_modes(grid, count)
+    ref = _brute_force_modes(grid, count)
+    assert len(spec) == count
+    for j, (mode, (lam, idx, desc)) in enumerate(zip(spec.modes, ref)):
+        assert mode.j == j
+        assert type(mode.lam) is float and mode.lam.hex() == lam.hex()
+        assert mode.axis_indices == idx
+        assert mode.description == desc
+
+
 # ---------------------------------------------------------------------------
 # Mode projection
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from sirblab.integrator import BumpInit, ModeInit, RandomInit, SimConfig
 from sirblab.scenario import (
     DEFAULT_MODE_COUNT,
+    MAX_MODE_COUNT,
     ConfigError,
     analysis_mode_count,
     build_sim_config,
@@ -259,6 +260,16 @@ def test_analysis_mode_count():
     assert err_path(e) == "analysis.modes"
     with pytest.raises(ConfigError):
         analysis_mode_count({}, override=0)
+
+
+def test_analysis_mode_count_is_capped():
+    assert analysis_mode_count({}, override=MAX_MODE_COUNT) == MAX_MODE_COUNT
+    with pytest.raises(ConfigError) as e:
+        analysis_mode_count({"analysis": {"modes": MAX_MODE_COUNT + 1}})
+    assert err_path(e) == "analysis.modes"
+    with pytest.raises(ConfigError) as e:
+        analysis_mode_count({"analysis": {"modes": 8}}, override=10**9)
+    assert err_path(e) == "--modes"
 
 
 def test_diffusion_matrix_requires_constant_coefficients():

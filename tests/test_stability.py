@@ -2,13 +2,17 @@
 
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from sirblab.grid import Grid, neumann_modes
+from sirblab import stability
 from sirblab.model import ModelParams, reaction_rhs
 from sirblab.stability import (
+    MARGINAL_RTOL,
+    ConsistencyError,
     CubicClass,
     CubicCoeffs,
     DiffusionMatrix,
@@ -429,3 +433,91 @@ def test_report_serializes_to_json():
     assert back["overall"] == "unstable"
     assert len(back["per_mode"]) == 8
     assert back["per_mode"][0]["lambda"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Batched mode analysis against one-mode-at-a-time recomputation
+# ---------------------------------------------------------------------------
+
+SWEEP_SPECTRUM = neumann_modes(Grid((2.0, 1.0), (64, 32)), 256)
+
+
+def _turing_rates(**overrides):
+    doc = json.loads((SCENARIOS / "turing_point.json").read_text())
+    p = ModelParams.from_dict({**doc["params"], **overrides})
+    c = doc["coefficients"]
+    return p, DiffusionMatrix(*(c[k]["value"] for k in ("a1", "a2", "a3", "a4")))
+
+
+@pytest.mark.parametrize("overrides, tags", [
+    ({}, ["Z1", "Z2", "Z4-branch-S2"]),
+    ({"beta2": 0.5, "d4": 1.0}, ["Z1", "Z2", "Z3", "Z4-branch-S2"]),
+], ids=["turing-rates", "with-Z3"])
+def test_batched_verdicts_equal_single_mode_recomputation(overrides, tags):
+    p, diff = _turing_rates(**overrides)
+    states = all_steady_states(p)
+    assert [st.tag for st in states] == tags
+    for st in states:
+        rep = classify_state(st, p, diff, SWEEP_SPECTRUM)
+        jac = jacobian(st.value, p, tag=st.tag)
+        assert len(rep.per_mode) == len(SWEEP_SPECTRUM)
+        for mode, v in zip(SWEEP_SPECTRUM.modes, rep.per_mode):
+            m = mode_matrix(jac, diff, mode.lam)
+            eigs = eigenvalues4(m)
+            max_real = float(np.max(eigs.real))
+            tol = MARGINAL_RTOL * (1.0 + float(np.linalg.norm(m)))
+            if abs(max_real) < tol:
+                verdict = "marginal"
+            else:
+                verdict = "unstable" if max_real > 0.0 else "stable"
+            assert (v.j, v.lam) == (mode.j, mode.lam)
+            assert np.array_equal(v.eigenvalues, eigs)
+            assert v.max_real == max_real
+            assert v.tol == tol
+            assert v.classification == verdict
+            if v.cubic is not None:  # Z3 and Z4
+                assert v.cubic.h == -float(np.linalg.det(m[:3, :3]))
+            if st.tag == "Z3":
+                roots = np.append(np.roots([1.0, v.cubic.p, v.cubic.q, v.cubic.h])
+                                  .astype(complex), complex(m[3, 3]))
+                expect = roots[np.lexsort((-roots.imag, -roots.real))]
+                assert np.array_equal(v.closed_form_eigs, expect)
+
+
+def test_stacked_cubic_roots_equal_np_roots():
+    # rows 2-4 have trailing zero coefficients, which np.roots strips
+    p = np.array([2.03945079, 0.5, 1.5, 3.0, 0.0])
+    q = np.array([1.76377351, -40.0, 2.0, 0.0, 0.0])
+    h = np.array([0.508542411, -1.0, 0.0, 0.0, 0.0])
+    roots = stability._cubic_roots(p, q, h)
+    for k in range(len(p)):
+        expect = np.roots([1.0, p[k], q[k], h[k]]).astype(complex)
+        assert np.array_equal(roots[k], expect)
+
+
+@pytest.mark.parametrize("tag, corrupt", [("Z1", "eigenvalues"), ("Z2", "verdicts")])
+def test_corrupted_closed_form_names_the_lowest_bad_mode(monkeypatch, tag, corrupt):
+    p = make_params()
+    spectrum = _spectrum()
+    original = stability._closed_form
+
+    def corrupted(*args):
+        eigs, cubics, classes, verdicts, exact = original(*args)
+        if corrupt == "eigenvalues":
+            eigs = eigs.copy()
+            for k in (9, 5):
+                eigs[k, 0] += 1.0
+        else:
+            flip = {"stable": "unstable", "unstable": "stable"}
+            verdicts = [flip[v] if k in (5, 9) else v for k, v in enumerate(verdicts)]
+        return eigs, cubics, classes, verdicts, exact
+
+    monkeypatch.setattr(stability, "_closed_form", corrupted)
+    lam = spectrum[5].lam
+    if corrupt == "eigenvalues":
+        message = (f"{tag} mode 5 (lambda={lam:.6g}): closed-form eigenvalues "
+                   f"deviate from numeric ones by 1.000e+00")
+    else:
+        message = f"{tag} mode 5 (lambda={lam:.6g}): closed-form route says "
+    with pytest.raises(ConsistencyError, match="^" + re.escape(message)):
+        classify_state(_states_by_tag(p)[tag], p, DIFF, spectrum)
