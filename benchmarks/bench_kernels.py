@@ -1,4 +1,4 @@
-"""Time of the implicit solve and of the mode analysis.
+"""Time of the implicit solve, of the mode analysis and of one time step.
 
 Implicit solve, kernels.cg_solve.
 
@@ -27,6 +27,25 @@ stability.classify_state on the endemic (Z4) state per mode::
     neumann_modes  64x32    4096 modes     17.61 ms
     classify_state Z4        256 modes       8.8 us/mode
 
+Time stepping, on the start of scenarios/turing_point.json (64 cells,
+constant coefficients, dt from stability_dt) and on a 96x96 state with
+the damped rates of scenarios/damped_2d.json, cosine and gaussian
+diffusion profiles and random data (dt 5/32): the median time of one
+integrator.step, of one positivity check of a state and of its
+sup-norms::
+
+    step           turing 64         190.3 us
+    step           hetero 96x96      25.11 ms
+    positivity     turing 64           8.9 us
+    positivity     hetero 96x96       17.0 us
+    sup_norms      turing 64           7.0 us
+    sup_norms      hetero 96x96       16.4 us
+
+(2 vCPU VM, Python 3.11, numpy 2.4). Before each state was checked once,
+with one min and one max reduction over all four species, the same
+script gave 315.6 us, 24.33 ms, 35.2 us, 44.8 us, 20.6 us and 38.8 us
+there; a step then also checked its entry state.
+
 Run as ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``; --grids
 takes grid shapes such as ``64 64x64 96x96 256x256``.
 """
@@ -39,13 +58,16 @@ import time
 
 import numpy as np
 
+from sirblab import integrator
 from sirblab.grid import Grid, neumann_modes
 from sirblab.kernels import cg_solve
 from sirblab.model import ModelParams
+from sirblab.scenario import build_sim_config
 from sirblab.stability import DiffusionMatrix, classify_state
 from sirblab.steady import solve_endemic
 
-SCENARIO = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "turing_point.json"
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+SCENARIO = SCENARIOS / "turing_point.json"
 
 RTOL = 1e-13
 
@@ -57,6 +79,11 @@ def median_time(fn, repeats):
         fn()
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
+
+
+def per_call(fn, repeats, number):
+    """Median over repeats of the mean time of `number` back-to-back calls."""
+    return median_time(lambda: [fn() for _ in range(number)], repeats) / number
 
 
 def fmt(seconds):
@@ -89,6 +116,34 @@ def problem(shape, variable, base=0.015):
     if variable:
         a = a + 0.5 * base * np.cos(math.pi * x)[:, None] * np.cos(2 * math.pi * y)[None, :]
     return b, a, hx, hy
+
+
+def step_cases():
+    """(label, config, state, dt) for the two step benchmarks."""
+    turing = build_sim_config(json.loads(SCENARIO.read_text()))
+    doc = json.loads((SCENARIOS / "damped_2d.json").read_text())
+    a = 0.015
+    doc["grid"] = {"lengths": [1.0, 1.0], "cells": [96, 96]}
+    doc["coefficients"] = {
+        "a1": {"kind": "profile", "profile": "cosine", "base": a,
+               "amplitude": 0.5 * a, "modes": [1, 2]},
+        "a2": {"kind": "profile", "profile": "gaussian", "base": a,
+               "amplitude": 2.0 * a, "width": 0.3, "center": [0.4, 0.6]},
+        "a3": {"kind": "constant", "value": a},
+        "a4": {"kind": "profile", "profile": "cosine", "base": a,
+               "amplitude": 0.5 * a, "modes": [2, 1]},
+    }
+    doc["initial"] = {"kind": "random", "low": [0.5, 0.1, 0.1, 0.2],
+                      "high": [1.5, 0.6, 0.4, 1.2], "seed": 1}
+    doc["run"] = {"t_end": 5.0}
+    hetero = build_sim_config(doc)
+    cases = []
+    for label, cfg, cap in (("turing 64", turing, math.inf),
+                            ("hetero 96x96", hetero, 5.0 / 32.0)):
+        state = cfg.build_initial()
+        dt = min(integrator.stability_dt(state, cfg.params), cap)
+        cases.append((label, cfg, state, dt))
+    return cases
 
 
 def main():
@@ -125,6 +180,21 @@ def main():
     t = median_time(lambda: classify_state(z4, p, diff, spectrum), args.repeats)
     print(f"classify_state {z4.tag[:2]:6s} {len(spectrum):6d} modes  "
           f"{t / len(spectrum) * 1e6:8.1f} us/mode")
+
+    print()
+    cases = step_cases()
+    for label, cfg, state, dt in cases:
+        coeffs = tuple(c.materialize(cfg.grid) for c in cfg.coefficients)
+        number = 200 if cfg.grid.ncells <= 64 else 2
+        t = per_call(lambda: integrator.step(state, dt, cfg, coeffs),
+                     args.repeats, number)
+        print(f"{'step':14s} {label:14s} {fmt(t):>11s}")
+    for name, fn in (("positivity", lambda s: integrator._check_positivity(s.values, s.t)),
+                     ("sup_norms", lambda s: s.sup_norms())):
+        for label, cfg, state, _ in cases:
+            number = 2000 if cfg.grid.ncells <= 64 else 200
+            t = per_call(lambda: fn(state), args.repeats, number)
+            print(f"{name:14s} {label:14s} {fmt(t):>11s}")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,14 @@ negative value beyond tolerance.
 Positivity is a monitored invariant, not an enforced one: values are
 never clipped. A component below -1e-12 times the species sup-norm
 aborts the run with the offending species, cell, and time, which almost
-always means the explicit part outran its stability bound.
+always means the explicit part outran its stability bound. Every state
+is checked once, when it is produced: the initial state by
+``build_initial`` (nonnegative and finite), every later one by the step
+that computes it, with one min and one max reduction over all four
+species.
+
+Snapshots land on the requested times: the driver also clips each step
+to the next pending snapshot time, as it clips the last step to t_end.
 """
 
 from __future__ import annotations
@@ -110,10 +117,23 @@ class StateField:
         return ScalarField(self.grid, self.values[k])
 
     def sup_norms(self) -> np.ndarray:
-        return np.array([np.max(np.abs(self.values[k])) for k in range(4)])
+        return np.array(_extremes(self.values)[1])
 
     def copy(self) -> "StateField":
         return StateField(self.grid, self.values.copy(), self.t)
+
+
+def _extremes(values: np.ndarray) -> tuple:
+    """Per-species minimum and sup-norm of a (4, ...) array, as floats.
+
+    One min and one max reduction cover all four species, and no
+    temporary of the field's size is made: max |u| is max(|min|, |max|)
+    exactly, so the sup-norms are the floats np.max(np.abs(u_k)) gives.
+    """
+    flat = values.reshape(4, -1)
+    low = flat.min(axis=1).tolist()
+    high = flat.max(axis=1).tolist()
+    return low, [max(abs(lo), abs(hi)) for lo, hi in zip(low, high)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +358,31 @@ def stability_dt(state: StateField, p: ModelParams) -> float:
 
 
 def _check_positivity(values: np.ndarray, time: float) -> None:
+    """Raise PositivityError for the first species, in S, I, R, B order,
+    whose minimum lies below -POSITIVITY_RTOL times its sup-norm.
+    """
+    low, scale = _extremes(values)
     for k in range(4):
-        comp = values[k]
-        scale = float(np.max(np.abs(comp)))
-        low = float(np.min(comp))
-        if low < -POSITIVITY_RTOL * scale:
+        if low[k] < -POSITIVITY_RTOL * scale[k]:
+            comp = values[k]
             cell = np.unravel_index(int(np.argmin(comp)), comp.shape)
-            raise PositivityError(SPECIES[k], cell, low, time)
+            raise PositivityError(SPECIES[k], cell, low[k], time)
 
 
 def step(state: StateField, dt: float, cfg: SimConfig,
          coeff_arrays=None) -> StateField:
     """One IMEX step. Raises PositivityError if the result undershoots.
 
-    The reaction terms are evaluated on the raw arrays: entry states
-    are tolerance-checked, so any negatives present are a few ulp deep
-    and the rate formulas remain well defined there.
+    Precondition: ``state`` has already passed the positivity check,
+    either as an initial state (``SimConfig.build_initial`` validates it)
+    or as the result of the previous step, which this function checks
+    before returning it. The entry state is not checked again. The
+    reaction terms are evaluated on the raw arrays: any negatives present
+    are a few ulp deep and the rate formulas remain well defined there.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = state.grid
-    _check_positivity(state.values, state.t)
     if coeff_arrays is None:
         coeff_arrays = tuple(c.materialize(grid) for c in cfg.coefficients)
 
@@ -384,14 +408,21 @@ def step(state: StateField, dt: float, cfg: SimConfig,
     return StateField(grid, new_vals, t_new)
 
 
+def _reached(t: float, target: float) -> bool:
+    """True once time t is at target, up to the rounding of the steps."""
+    return t >= target * (1.0 - 1e-12)
+
+
 def _drive(cfg: SimConfig, on_state, on_step=None):
     """Shared time loop; calls on_state(prev, state) after each step.
 
+    Steps are clipped to end on every snapshot time and on t_end.
     on_state may return False to stop early.
     """
     state = cfg.build_initial()
     coeff_arrays = tuple(c.materialize(cfg.grid) for c in cfg.coefficients)
     min_dt = _MIN_DT_FRACTION * cfg.t_end
+    stops = sorted(cfg.snapshot_times)
     if on_step is None:
         on_step = lambda *_: None
 
@@ -401,6 +432,10 @@ def _drive(cfg: SimConfig, on_state, on_step=None):
         dt = stability_dt(state, cfg.params) if cfg.adaptive else cfg.dt
         if cfg.dt is not None:
             dt = min(dt, cfg.dt)
+        while stops and _reached(state.t, stops[0]):
+            stops.pop(0)
+        if stops:
+            dt = min(dt, stops[0] - state.t)
         dt = min(dt, cfg.t_end - state.t)
         if cfg.adaptive:
             while True:
@@ -430,7 +465,9 @@ def simulate(cfg: SimConfig) -> Trajectory:
     The first nonnegativity wobble (any negative cell, necessarily
     within tolerance, otherwise the run aborts) and the first increase
     of host mass while the damped regime d1 > b0, d4 > g0 holds are
-    flagged with their timestamps in ``violations``.
+    flagged with their timestamps in ``violations``. Snapshots are taken
+    on the requested times, where the driver ends a step (a time of 0
+    takes the initial state).
     """
     traj = Trajectory(config=cfg)
     spectrum = None
@@ -470,13 +507,13 @@ def simulate(cfg: SimConfig) -> Trajectory:
                      "value": mass, "previous": prev})
 
     def on_state(prev, state):
+        while pending_snapshots and _reached(state.t, pending_snapshots[0]):
+            traj.snapshots.append((state.t, state.copy()))
+            pending_snapshots.pop(0)
         if prev is None:
             record(state)
             return
         counter["n"] += 1
-        while pending_snapshots and state.t >= pending_snapshots[0] * (1.0 - 1e-12):
-            traj.snapshots.append((state.t, state.copy()))
-            pending_snapshots.pop(0)
         if counter["n"] % cfg.record_every == 0 or state.t >= cfg.t_end * (1.0 - 1e-14):
             record(state)
 

@@ -1,7 +1,10 @@
 """Hot numeric kernels: flux-form diffusion and the implicit solve.
 
 All kernels take 2D arrays; 1D fields are viewed as shape (nx, 1) with
-unit y-spacing, which makes the y-direction fluxes vanish. Per cell the
+unit y-spacing, which makes the y-direction fluxes vanish. A 1D field
+does no y-direction work at all: no y face weights, no y fluxes, and no
+y transform or eigenvalues in the preconditioner; every float operation
+left is the one the 2D formulas make, in the same order. Per cell the
 divergence is assembled as
 
     out = (fxE - fxW)/hx^2 + (fyN - fyS)/hy^2
@@ -72,8 +75,14 @@ def spacing_2d(grid) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _face_weights(a):
-    """Coefficient on each interior x and y face: the mean of its two cells."""
-    return 0.5 * (a[:-1, :] + a[1:, :]), 0.5 * (a[:, :-1] + a[:, 1:])
+    """Coefficient on each interior x and y face: the mean of its two cells.
+
+    A 1D field (one column) has no y faces; its y weights are None.
+    """
+    wx = 0.5 * (a[:-1, :] + a[1:, :])
+    if a.shape[1] == 1:
+        return wx, None
+    return wx, 0.5 * (a[:, :-1] + a[:, 1:])
 
 
 def _divergence(u, weights, hx, hy):
@@ -131,11 +140,12 @@ def _mean_coefficient_solver(a, dt, hx, hy):
     """r -> (I - dt*abar*D_1)^{-1} r, with D_1 the unit-coefficient stencil."""
     nx, ny = a.shape
     cx, lx = axis_spectrum(nx, hx)
-    cy, ly = axis_spectrum(ny, hy)
     abar = float(a.sum()) / a.size
-    inv = 1.0 / (1.0 + (dt * abar) * (lx[:, None] + ly[None, :]))
-    if ny == 1:  # a 1D field: the y transform is the 1x1 identity
+    if ny == 1:  # a 1D field: the y transform is the 1x1 identity, lam_y = [0]
+        inv = 1.0 / (1.0 + (dt * abar) * lx[:, None])
         return lambda r: cx @ ((cx.T @ r) * inv)
+    cy, ly = axis_spectrum(ny, hy)
+    inv = 1.0 / (1.0 + (dt * abar) * (lx[:, None] + ly[None, :]))
     return lambda r: cx @ ((cx.T @ r @ cy) * inv) @ cy.T
 
 

@@ -11,13 +11,16 @@ Turing-flagged, and ``Z4.overall``/``Z4.max_real0`` taken from the state
 with the largest infected component.  Points whose evaluation raises are
 recorded in-row through the ``error`` column; the sweep itself carries on.
 
-Workers receive plain JSON-style dicts, so the parallel path (one process
-per ``--jobs``) evaluates exactly what the serial path does and the output
-files are byte-identical either way.
+Axes move model parameters only, so ``run_sweep`` builds the mode spectrum
+once and hands it to every point. Workers receive plain JSON-style dicts
+and that spectrum, so the parallel path (one process per ``--jobs``)
+evaluates exactly what the serial path does and the output files are
+byte-identical either way.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -53,11 +56,13 @@ def _blank_record() -> dict:
     return record
 
 
-def evaluate_point(point_doc: dict) -> dict:
+def evaluate_point(point_doc: dict, spectrum=None) -> dict:
     """Run steady states + stability for one parameter set.
 
     point_doc holds 'params', 'grid', 'coefficients', and 'modes'; any
-    exception is captured into the record's 'error' field.
+    exception is captured into the record's 'error' field. ``spectrum``
+    is the point's ``neumann_modes(grid, modes)`` when the caller has
+    already built it; None builds it here.
     """
     record = _blank_record()
     try:
@@ -65,7 +70,8 @@ def evaluate_point(point_doc: dict) -> dict:
         grid = parse_grid(point_doc)
         coeffs = parse_coefficients(point_doc, grid)
         diff = diffusion_matrix(coeffs)
-        spectrum = neumann_modes(grid, point_doc["modes"])
+        if spectrum is None:
+            spectrum = neumann_modes(grid, point_doc["modes"])
 
         exists, diag = endemic_exists(params, diagnostics=True)
         record["endemic_exists"] = exists
@@ -146,12 +152,21 @@ def run_sweep(base: dict, axes, outputs, modes: int, out_dir: str,
             "modes": modes,
         })
 
+    # Axes move model parameters only, so every point shares one grid and
+    # one spectrum. If it cannot be built, each point builds it again and
+    # records the error in its row.
+    try:
+        spectrum = neumann_modes(parse_grid(base), modes)
+    except Exception:
+        spectrum = None
+    evaluate = functools.partial(evaluate_point, spectrum=spectrum)
+
     workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(evaluate_point, points, chunksize=1))
+            records = list(pool.map(evaluate, points, chunksize=1))
     else:
-        records = [evaluate_point(pt) for pt in points]
+        records = [evaluate(pt) for pt in points]
 
     header = names + list(outputs) + ["error"]
     lines = [",".join(header)]

@@ -1,12 +1,16 @@
 """Time stepping: IMEX scheme, diagnostics, invariants, relaxation."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from sirblab import integrator
 from sirblab.grid import CoefficientField, Grid, neumann_modes, project_mode
 from sirblab.integrator import (
+    POSITIVITY_RTOL,
+    SPECIES,
     BumpInit,
     ConstantInit,
     ModeInit,
@@ -20,9 +24,12 @@ from sirblab.integrator import (
     step,
 )
 from sirblab.model import ModelParams, reaction_rhs
+from sirblab.scenario import build_sim_config, load_json
 from sirblab.steady import solve_endemic, trivial_states
 
 from common import make_params, make_damped
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 GRID = Grid((2.0,), (32,))
 COEFFS = tuple(CoefficientField.constant(a) for a in (0.05, 0.05, 0.05, 0.01))
@@ -297,3 +304,151 @@ def test_uniform_run_matches_ode_oracle():
     got = traj.final.values[:, 0]
     want = _rk4(u0, p, 1.0, 1e-3)
     np.testing.assert_allclose(got, want, rtol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Snapshot times
+# ---------------------------------------------------------------------------
+
+def test_snapshots_land_on_the_requested_times():
+    cfg = build_sim_config(load_json(str(SCENARIOS / "endemic_1d.json")))
+    traj = simulate(cfg)
+    assert [t for t, _ in traj.snapshots] == [1.0, 2.0]
+    for t, state in traj.snapshots:
+        assert state.t == t
+
+
+def test_snapshot_at_time_zero_is_the_initial_state():
+    p = make_params()
+    init = BumpInit(base=(1.0, 0.5, 0.2, 0.5), amplitude=(0.3, 0.1, 0.0, 0.2))
+    traj = simulate(_cfg(p, init, t_end=0.3, snapshot_times=(0.0, 0.1)))
+    assert [t for t, _ in traj.snapshots] == [0.0, 0.1]
+    assert np.array_equal(traj.snapshots[0][1].values, init.build(GRID).values)
+
+
+def test_fixed_steps_are_clipped_to_snapshot_times():
+    p = make_params()
+    cfg = _cfg(p, ConstantInit((1.0, 0.5, 0.2, 0.5)), t_end=0.5,
+               dt=0.1, adaptive=False, snapshot_times=(0.25,))
+    traj = simulate(cfg)
+    assert [t for t, _ in traj.snapshots] == [0.25]
+    assert traj.steps == 6  # 0.1, 0.2, 0.25, 0.35, 0.45, 0.5
+
+
+# ---------------------------------------------------------------------------
+# Positivity check: one vectorised pass, once per state
+# ---------------------------------------------------------------------------
+
+def _per_species_check(values, time):
+    """The per-species scan the vectorised check must agree with."""
+    for k in range(4):
+        comp = values[k]
+        scale = float(np.max(np.abs(comp)))
+        low = float(np.min(comp))
+        if low < -POSITIVITY_RTOL * scale:
+            cell = np.unravel_index(int(np.argmin(comp)), comp.shape)
+            raise PositivityError(SPECIES[k], cell, low, time)
+
+
+def _outcome(check, values):
+    try:
+        check(values, 0.75)
+    except PositivityError as e:
+        return (e.species, e.cell, e.value, e.time)
+    return None
+
+
+@pytest.mark.parametrize("shape", [(16,), (6, 5)])
+def test_vectorised_positivity_check_matches_per_species_scan(shape):
+    rng = np.random.default_rng(5)
+    base = rng.uniform(0.1, 2.0, size=(4,) + shape)
+    cases = []
+
+    two_bad = base.copy()  # I and B fail; I is named
+    two_bad[1].flat[3] = -1e-3
+    two_bad[3].flat[0] = -5e-1
+    cases.append(two_bad)
+
+    at_bound = base.copy()  # exactly at the bound: passes
+    scale = float(np.max(np.abs(at_bound[2])))
+    at_bound[2].flat[-1] = -POSITIVITY_RTOL * scale
+    cases.append(at_bound)
+
+    past_bound = at_bound.copy()  # one ulp past it: fails
+    past_bound[2].flat[-1] = np.nextafter(-POSITIVITY_RTOL * scale, -1.0)
+    cases.append(past_bound)
+
+    zero = base.copy()  # an all-zero species passes, signed zeros too
+    zero[0] = 0.0
+    zero[0].flat[1] = -0.0
+    cases.append(zero)
+
+    negative_sup = base.copy()  # the sup-norm sits at a negative cell
+    negative_sup[3] = -rng.uniform(0.1, 1.0, size=shape)
+    cases.append(negative_sup)
+
+    for _ in range(20):
+        noisy = base.copy()
+        for k in rng.choice(4, size=rng.integers(0, 4), replace=False):
+            noisy[k].flat[rng.integers(noisy[k].size)] = -10.0 ** rng.uniform(-14, -8)
+        cases.append(noisy)
+
+    outcomes = []
+    for values in cases:
+        want = _outcome(_per_species_check, values)
+        assert _outcome(integrator._check_positivity, values) == want
+        outcomes.append(want)
+    assert outcomes[0] == ("I", np.unravel_index(3, shape), -1e-3, 0.75)
+    assert outcomes[1] is None and outcomes[2][0] == "R" and outcomes[3] is None
+    assert outcomes[4][0] == "B"
+
+
+def test_sup_norms_equal_per_species_maxima():
+    rng = np.random.default_rng(9)
+    for shape in ((16,), (6, 5)):
+        values = rng.normal(size=(4,) + shape)
+        values[2] = -0.0
+        state = StateField(Grid((1.0,) * len(shape), shape), values)
+        want = [float(np.max(np.abs(values[k]))) for k in range(4)]
+        got = state.sup_norms()
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+def _count_checks(monkeypatch, fail_first=0):
+    """Record the time of every positivity check; optionally fail the first ones."""
+    calls = []
+    original = integrator._check_positivity
+
+    def counting(values, time):
+        calls.append((time, values))
+        if len(calls) <= fail_first:
+            raise PositivityError("S", (0,), -1.0, time)
+        original(values, time)
+
+    monkeypatch.setattr(integrator, "_check_positivity", counting)
+    return calls
+
+
+def test_each_state_is_checked_once(monkeypatch):
+    p = make_params()
+    init = BumpInit(base=(1.0, 0.5, 0.2, 0.5), amplitude=(0.3, 0.1, 0.0, 0.2))
+    calls = _count_checks(monkeypatch)
+    traj = simulate(_cfg(p, init, t_end=0.5, record_every=2))
+    assert traj.steps > 3
+    assert len(calls) == traj.steps  # no retries here: one per attempted step
+    assert all(t > 0.0 for t, _ in calls)  # never the starting state
+    assert calls[-1][0] == traj.final.t
+    assert calls[-1][1] is traj.final.values
+
+
+def test_positivity_retry_halves_dt_and_checks_only_the_new_result(monkeypatch):
+    p = make_params()
+    init = ConstantInit((1.0, 0.5, 0.2, 0.5))
+    state = init.build(GRID)
+    dt0 = stability_dt(state, p)
+    calls = _count_checks(monkeypatch, fail_first=1)
+    traj = simulate(_cfg(p, init, t_end=1.0))
+    assert calls[0][0] == dt0
+    assert calls[1][0] == 0.5 * dt0
+    assert traj.times[1] == 0.5 * dt0
+    assert len(calls) == traj.steps + 1  # the rejected attempt is the extra one

@@ -154,3 +154,24 @@ def test_variable_coefficient_converges_quickly_and_exactly(profile):
     dense = _dense_helmholtz(a, dt, hx, hy)
     x_ref = np.linalg.solve(dense, b.ravel()).reshape(a.shape)
     np.testing.assert_allclose(x, x_ref, rtol=1e-10, atol=1e-12)
+
+
+def test_1d_fields_skip_y_work_with_the_same_floats():
+    # A (n, 1) field has no y faces and a 1x1 identity y transform; the
+    # 1D shortcuts must give the bits of the general 2D formulas.
+    rng = np.random.default_rng(11)
+    n, hx, hy, dt = 64, 2.0 / 64, 1.0, 0.37
+    a = rng.uniform(0.01, 3.0, size=(n, 1))
+    r = rng.normal(size=(n, 1))
+
+    wx, wy = kernels._face_weights(a)
+    assert wy is None
+    assert np.array_equal(wx, 0.5 * (a[:-1, :] + a[1:, :]))
+
+    cx, lx = axis_spectrum(n, hx)
+    _, ly = axis_spectrum(1, hy)
+    abar = float(a.sum()) / a.size
+    inv = 1.0 / (1.0 + (dt * abar) * (lx[:, None] + ly[None, :]))
+    want = cx @ ((cx.T @ r) * inv)
+    got = kernels._mean_coefficient_solver(a, dt, hx, hy)(r)
+    assert np.array_equal(got, want)

@@ -191,3 +191,37 @@ def test_worker_count_is_capped(tmp_path, monkeypatch, jobs, cpus, expected):
               ["Z2.exists"], 8, str(tmp_path), jobs=jobs)
     assert sizes == expected
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 7
+
+
+def test_spectrum_is_built_once_per_sweep(tmp_path, monkeypatch):
+    calls = []
+    original = sweep.neumann_modes
+
+    def counting(grid, count):
+        calls.append(count)
+        return original(grid, count)
+
+    monkeypatch.setattr(sweep, "neumann_modes", counting)
+    axes = [("beta2", [0.4, 0.5, 2.0]), ("d4", [0.9, 1.1])]
+    run_sweep(base_doc(), axes, None, 32, str(tmp_path))
+    assert calls == [32]
+
+    # the shared spectrum gives the records each point builds on its own
+    for index, (b2, d4) in enumerate([(b2, d4) for b2 in (0.4, 0.5, 2.0)
+                                      for d4 in (0.9, 1.1)]):
+        payload = json.loads((tmp_path / f"point_{index:05d}.json").read_text())
+        assert payload["record"] == evaluate_point(point_doc(beta2=b2, d4=d4))
+
+
+def test_grid_error_is_recorded_in_every_row(tmp_path):
+    base = base_doc()
+    base["grid"] = {"lengths": [2.0], "cells": [0]}
+    path = run_sweep(base, [("beta2", [0.4, 0.5])], ["endemic_exists"], 32,
+                     str(tmp_path))
+    lines = open(path).read().splitlines()
+    assert len(lines) == 3
+    want = evaluate_point({**point_doc(beta2=0.4), "grid": base["grid"]})["error"]
+    assert want.startswith("ConfigError")
+    for index in range(2):
+        payload = json.loads((tmp_path / f"point_{index:05d}.json").read_text())
+        assert payload["record"]["error"] == want
