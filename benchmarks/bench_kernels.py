@@ -10,41 +10,46 @@ iterations and the final relative residual (one core, BLAS pinned to one
 thread)::
 
     grid      coefficient        time  iters    relres
-    64        constant        65.8 us      1   3.0e-15
-    96x96     variable        7.62 ms     24   3.5e-14
-    256x256   constant       11.79 ms      2   1.9e-26
+    64        constant        43.2 us      1   5.0e-15
+    96x96     constant       361.1 us      1   5.8e-14
+    96x96     variable        7.83 ms     24   3.5e-14
+    256x256   constant        9.86 ms      2   1.6e-26
 
-At 256x256 the constant case needs a second iteration: one application
-leaves a rounding residual of about cond * eps, above the 1e-13 target.
+A constant coefficient starts from the exact spectral solve: one
+transform pair and one stencil application. At 256x256 that leaves a
+rounding residual of about cond * eps, above the 1e-13 target, and a
+second iteration removes it. Started from x = b instead, the constant
+cases took 59.3 us, 494.1 us and 13.50 ms in back-to-back runs (the
+variable case, which still starts from b, 8.00 ms).
 
 Mode analysis, on the 2 x 1 domain with 64x32 cells of the sweep-2d
 benchmark workload and the rates of scenarios/turing_point.json: the
 median time of grid.neumann_modes per mode count, and of
 stability.classify_state on the endemic (Z4) state per mode::
 
-    neumann_modes  64x32     256 modes     812.4 us
-    neumann_modes  64x32    1024 modes      3.65 ms
-    neumann_modes  64x32    4096 modes     17.61 ms
-    classify_state Z4        256 modes       8.8 us/mode
+    neumann_modes  64x32     256 modes      1.57 ms
+    neumann_modes  64x32    1024 modes      6.28 ms
+    neumann_modes  64x32    4096 modes     27.21 ms
+    classify_state Z4        256 modes      14.3 us/mode
 
 Time stepping, on the start of scenarios/turing_point.json (64 cells,
 constant coefficients, dt from stability_dt) and on a 96x96 state with
 the damped rates of scenarios/damped_2d.json, cosine and gaussian
 diffusion profiles and random data (dt 5/32): the median time of one
-integrator.step, of one positivity check of a state and of its
-sup-norms::
+integrator.step, given the coefficient views ``_drive`` builds once per
+run, of one positivity check of a state and of its sup-norms::
 
-    step           turing 64         190.3 us
-    step           hetero 96x96      25.11 ms
-    positivity     turing 64           8.9 us
-    positivity     hetero 96x96       17.0 us
-    sup_norms      turing 64           7.0 us
-    sup_norms      hetero 96x96       16.4 us
+    step           turing 64         172.4 us
+    step           hetero 96x96      24.36 ms
+    positivity     turing 64           7.4 us
+    positivity     hetero 96x96       19.7 us
+    sup_norms      turing 64           9.0 us
+    sup_norms      hetero 96x96       19.9 us
 
-(2 vCPU VM, Python 3.11, numpy 2.4). Before each state was checked once,
-with one min and one max reduction over all four species, the same
-script gave 315.6 us, 24.33 ms, 35.2 us, 44.8 us, 20.6 us and 38.8 us
-there; a step then also checked its entry state.
+(2 vCPU VM, Python 3.11, numpy 2.4; the timings vary by about 20% from
+run to run on this VM). With every solve started from x = b and the
+coefficient views rebuilt each step, back-to-back runs gave 237.2 us and
+27.51 ms for the two steps.
 
 Run as ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``; --grids
 takes grid shapes such as ``64 64x64 96x96 256x256``.
@@ -184,7 +189,7 @@ def main():
     print()
     cases = step_cases()
     for label, cfg, state, dt in cases:
-        coeffs = tuple(c.materialize(cfg.grid) for c in cfg.coefficients)
+        coeffs = integrator._coefficient_views(cfg)  # as _drive passes them
         number = 200 if cfg.grid.ncells <= 64 else 2
         t = per_call(lambda: integrator.step(state, dt, cfg, coeffs),
                      args.repeats, number)

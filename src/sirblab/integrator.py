@@ -7,12 +7,16 @@ unconditionally stable) and the reactions explicitly:
 
 Each implicit solve is a symmetric positive definite system handled by
 conjugate gradients preconditioned with the exact DCT solve at the mean
-coefficient (see kernels): one iteration for a constant coefficient, a
-few dozen for a smoothly varying one. The explicit reaction
-part limits dt: steps are kept below 0.5 over a Lipschitz estimate of
-the reaction Jacobian built from the current field maxima, and the
-adaptive driver halves dt and retries whenever a step still produces a
-negative value beyond tolerance.
+coefficient (see kernels): for a constant coefficient the solve starts
+from that DCT solve and is one transform pair and one stencil
+application, a smoothly varying one takes a few dozen iterations. The
+``_drive`` builds the 2D coefficient views the kernels take once per run,
+not once per step, and a failed solve reports the iterations it made.
+
+The explicit reaction part limits dt: steps are kept below 0.5 over a
+Lipschitz estimate of the reaction Jacobian built from the current field
+maxima, and an adaptive run halves dt and retries whenever a step still
+produces a negative value beyond tolerance.
 
 Positivity is a monitored invariant, not an enforced one: values are
 never clipped. A component below -1e-12 times the species sup-norm
@@ -369,6 +373,11 @@ def _check_positivity(values: np.ndarray, time: float) -> None:
             raise PositivityError(SPECIES[k], cell, low[k], time)
 
 
+def _coefficient_views(cfg: SimConfig) -> tuple:
+    """The four diffusion coefficients as the 2D arrays the kernels take."""
+    return tuple(kernels.as_2d(c.materialize(cfg.grid)) for c in cfg.coefficients)
+
+
 def step(state: StateField, dt: float, cfg: SimConfig,
          coeff_arrays=None) -> StateField:
     """One IMEX step. Raises PositivityError if the result undershoots.
@@ -379,12 +388,16 @@ def step(state: StateField, dt: float, cfg: SimConfig,
     before returning it. The entry state is not checked again. The
     reaction terms are evaluated on the raw arrays: any negatives present
     are a few ulp deep and the rate formulas remain well defined there.
+
+    ``coeff_arrays``, if given, holds the coefficients as the 2D views
+    ``kernels.as_2d`` makes (``_drive`` builds them once per run); by
+    default they are built from ``cfg``.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = state.grid
     if coeff_arrays is None:
-        coeff_arrays = tuple(c.materialize(grid) for c in cfg.coefficients)
+        coeff_arrays = _coefficient_views(cfg)
 
     f = _rhs_terms(state.values[0], state.values[1],
                    state.values[2], state.values[3], cfg.params)
@@ -393,13 +406,12 @@ def step(state: StateField, dt: float, cfg: SimConfig,
     new_vals = np.empty_like(state.values)
     for k in range(4):
         rhs = state.values[k] + dt * f[k]
-        x, _, relres = kernels.cg_solve(
-            kernels.as_2d(rhs), kernels.as_2d(coeff_arrays[k]),
-            dt, hx, hy, CG_RTOL, maxiter)
+        x, iters, relres = kernels.cg_solve(
+            kernels.as_2d(rhs), coeff_arrays[k], dt, hx, hy, CG_RTOL, maxiter)
         if relres > CG_RTOL:
             raise CGError(
                 f"implicit solve for {SPECIES[k]} stalled at relative residual "
-                f"{relres:.3e} after {maxiter} iterations (t = {state.t:.6g})"
+                f"{relres:.3e} after {iters} iterations (t = {state.t:.6g})"
             )
         new_vals[k] = x.reshape(grid.shape)
 
@@ -420,7 +432,7 @@ def _drive(cfg: SimConfig, on_state, on_step=None):
     on_state may return False to stop early.
     """
     state = cfg.build_initial()
-    coeff_arrays = tuple(c.materialize(cfg.grid) for c in cfg.coefficients)
+    coeff_arrays = _coefficient_views(cfg)
     min_dt = _MIN_DT_FRACTION * cfg.t_end
     stops = sorted(cfg.snapshot_times)
     if on_step is None:

@@ -21,12 +21,18 @@ cell-centred grid with zero-flux faces the orthonormal DCT-II basis
 diagonalises the constant-coefficient stencil exactly, with eigenvalues
 -a * lam_h, lam_h = (4/h^2) sin^2(j*pi/(2N)) per axis (Strang, "The
 Discrete Cosine Transform", SIAM Review 1999). The preconditioner is
-that spectral solve at the mean coefficient. When the coefficient is
-constant it is the exact inverse, so CG converges in one iteration
-unless the rounding of that one application (about cond * eps relative)
-exceeds the tolerance; when the coefficient varies smoothly it is a close
-approximation. The transforms are dense matrix products with a cached
-basis per axis, which keeps the module numpy-only.
+that spectral solve at the mean coefficient. When the coefficient varies
+smoothly it is a close approximation and CG starts from x = b. When the
+coefficient is constant it is the exact inverse, and CG starts from it
+instead: one transform pair gives x = M b and one stencil application
+checks its residual, which is the whole solve unless the rounding of
+that application (about cond * eps relative) exceeds the tolerance; then
+the same PCG loop carries on from there. A constant right-hand side is
+the exception: diffusion annihilates it, so it is returned unchanged and
+uniform states stay uniform bit for bit. Iterations are counted as
+preconditioner applications, the spectral start included. The
+transforms are dense matrix products with a cached basis per axis, which
+keeps the module numpy-only.
 """
 
 from __future__ import annotations
@@ -152,33 +158,50 @@ def _mean_coefficient_solver(a, dt, hx, hy):
 def cg_solve(b, a, dt, hx, hy, rtol, maxiter):
     """Solve (I - dt*D) x = b by preconditioned conjugate gradients.
 
-    Starts from x = b, so a constant right-hand side (D b = 0) is
-    returned unchanged without a single iteration. The preconditioner is
-    the exact spectral solve at the mean of ``a``. Convergence is judged
-    on the unpreconditioned residual: returns (x, iterations,
+    The preconditioner M is the exact spectral solve at the mean of ``a``.
+    The start follows from the input; there is no option:
+
+    * ``a`` constant (``a.min() == a.max()``) and ``b`` not: M is the
+      exact inverse, so the solve starts from x = M b, the one transform
+      pair, and checks it with one stencil residual. The start counts as
+      one iteration; if its rounding (about cond * eps relative) misses
+      ``rtol``, the PCG loop carries on from there.
+    * otherwise x = b. A constant ``b`` is then returned unchanged (D b = 0)
+      with 0 iterations and residual 0.0, so uniform states stay uniform
+      bit for bit; a variable ``a`` runs PCG from b.
+
+    The iteration count is the number of preconditioner applications the
+    returned x is built from (the spectral start included). Convergence
+    is judged on the unpreconditioned residual: returns (x, iterations,
     relative_residual), and the caller checks ``relres <= rtol``.
     """
-    weights = _face_weights(a)
+    bnorm = math.sqrt(float(np.dot(b.ravel(), b.ravel())))
+    if bnorm == 0.0:
+        return b.copy(), 0, 0.0
+    target = rtol * bnorm
+    coefficient = a.min()
+    constant = coefficient == a.max()
+    # 0.5 * (a + a) == a, so a constant is every face weight exactly
+    weights = (coefficient, coefficient) if constant else _face_weights(a)
 
     def helmholtz(v):
         # helmholtz_apply(v, a, ...) with the face weights computed once
         return v - dt * _divergence(v, weights, hx, hy)
 
-    x = b.copy()
-    bnorm = math.sqrt(float(np.dot(b.ravel(), b.ravel())))
-    if bnorm == 0.0:
-        return x, 0, 0.0
+    precondition = _mean_coefficient_solver(a, dt, hx, hy)
+    # the corner cells settle most right-hand sides without a scan
+    if constant and (b[0, 0] != b[-1, -1] or b.min() != b.max()):
+        x, it = precondition(b), 1
+    else:
+        x, it = b.copy(), 0
     r = b - helmholtz(x)
     rs = float(np.dot(r.ravel(), r.ravel()))
-    target = rtol * bnorm
     if math.sqrt(rs) <= target:
-        return x, 0, math.sqrt(rs) / bnorm
-    precondition = _mean_coefficient_solver(a, dt, hx, hy)
+        return x, it, math.sqrt(rs) / bnorm
     z = precondition(r)
     rz = float(np.dot(r.ravel(), z.ravel()))
     p = z
-    it = 0
-    for it in range(1, int(maxiter) + 1):
+    for it in range(it + 1, int(maxiter) + 1):
         ap = helmholtz(p)
         pap = float(np.dot(p.ravel(), ap.ravel()))
         if pap <= 0.0:

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .grid import Grid, CoefficientField
+from .grid import Grid, CoefficientField, neumann_modes
 from .integrator import (
     BumpInit,
     ConstantInit,
@@ -248,6 +248,26 @@ def parse_initial(doc: dict, params: ModelParams, path: str = "initial",
                       f"unknown initial kind {kind!r}; expected constant, bump, mode, or random")
 
 
+def _check_mode_indices(grid: Grid, fields: list) -> None:
+    """Reject mode indices the grid cannot resolve, naming the field.
+
+    ``fields`` holds (path, index) pairs. Indices outside
+    [0, MAX_MODE_COUNT) are rejected before any enumeration, so the
+    spectrum built for the rest holds at most MAX_MODE_COUNT modes.
+    """
+    for path, j in fields:
+        if not 0 <= j < MAX_MODE_COUNT:
+            raise ConfigError(path, f"mode index must lie in [0, {MAX_MODE_COUNT}), got {j}")
+    if not fields:
+        return
+    spectrum = neumann_modes(grid, max(j for _, j in fields) + 1)
+    for path, j in fields:
+        mode = spectrum[j]
+        if any(i >= n for i, n in zip(mode.axis_indices, grid.cells)):
+            raise ConfigError(path, f"mode {j} ({mode.description}) is not resolvable "
+                                    f"on {'x'.join(map(str, grid.cells))} cells")
+
+
 def build_sim_config(doc: dict, seed_override: int | None = None) -> SimConfig:
     """Assemble a SimConfig from a full scenario document."""
     params = parse_params(doc)
@@ -269,6 +289,10 @@ def build_sim_config(doc: dict, seed_override: int | None = None) -> SimConfig:
                     for k, v in enumerate(_as_list(run.get("record_modes", []),
                                                    "run.record_modes"))]
     snapshot_times = _number_list(run.get("snapshot_times", []), "run.snapshot_times")
+    mode_fields = [(f"run.record_modes[{k}]", j) for k, j in enumerate(record_modes)]
+    if isinstance(initial, ModeInit):
+        mode_fields.append(("initial.mode", initial.mode))
+    _check_mode_indices(grid, mode_fields)
     try:
         return SimConfig(
             grid=grid, params=params, coefficients=coeffs, initial=initial,

@@ -345,6 +345,25 @@ def test_sweep_rejects_mode_count_above_cap(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,index", [("run.record_modes[1]", 400000),
+                                         ("run.record_modes[1]", 32),
+                                         ("initial.mode", 400000)])
+def test_simulate_rejects_unresolvable_mode_indices(tmp_path, capsys, field, index):
+    doc = scenario_doc()
+    if field == "initial.mode":
+        doc["initial"] = {"kind": "mode", "state": "Z4-branch-S2",
+                          "epsilon": 0.01, "mode": index}
+    else:
+        doc["run"]["record_modes"] = [0, index]
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    out = tmp_path / "o"
+    rc, stdout, stderr = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert field in stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------

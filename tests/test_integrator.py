@@ -452,3 +452,42 @@ def test_positivity_retry_halves_dt_and_checks_only_the_new_result(monkeypatch):
     assert calls[1][0] == 0.5 * dt0
     assert traj.times[1] == 0.5 * dt0
     assert len(calls) == traj.steps + 1  # the rejected attempt is the extra one
+
+
+# ---------------------------------------------------------------------------
+# Implicit solve as seen by the step
+# ---------------------------------------------------------------------------
+
+def test_cg_error_reports_the_iterations_the_solve_made(monkeypatch):
+    monkeypatch.setattr(integrator.kernels, "cg_solve",
+                        lambda b, *args: (b, 3, 1.0))
+    state = StateField.constant(GRID, [1.0, 0.5, 0.2, 0.5])
+    cfg = _cfg(make_params(), None, t_end=1.0)
+    with pytest.raises(integrator.CGError) as e:
+        step(state, 0.01, cfg)
+    message = str(e.value)
+    assert "for S " in message
+    assert "after 3 iterations" in message
+    assert str(10 * GRID.ncells) not in message  # not the iteration cap
+
+
+@pytest.mark.parametrize("grid", [Grid((2.0,), (32,)), Grid((2.0, 1.0), (8, 6))])
+def test_uniform_start_with_constant_coefficients_stays_uniform(monkeypatch, grid):
+    # Diffusion annihilates constants, so every state must stay spatially
+    # uniform bit for bit: the implicit solve returns a constant right-hand
+    # side unchanged instead of taking a spectral start.
+    states = []
+    original = integrator.step
+
+    def recording(*args, **kwargs):
+        states.append(original(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(integrator, "step", recording)
+    cfg = SimConfig(grid, make_params(), COEFFS, ConstantInit((1.0, 0.5, 0.2, 0.5)),
+                    t_end=0.5, snapshot_times=(0.25,))
+    traj = simulate(cfg)
+    assert traj.steps == len(states) > 3
+    for state in states + [s for _, s in traj.snapshots]:
+        flat = state.values.reshape(4, -1)
+        assert np.array_equal(flat.min(axis=1), flat.max(axis=1)), state.t

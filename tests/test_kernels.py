@@ -1,5 +1,7 @@
 """Diffusion stencil and the DCT-preconditioned implicit solve."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,122 @@ def test_1d_fields_skip_y_work_with_the_same_floats():
     want = cx @ ((cx.T @ r) * inv)
     got = kernels._mean_coefficient_solver(a, dt, hx, hy)(r)
     assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Start of the solve: spectral for a constant coefficient, x = b otherwise
+# ---------------------------------------------------------------------------
+
+def _pcg_from_b(b, a, dt, hx, hy, rtol, maxiter):
+    """PCG from x = b: the reference for every solve without the spectral start."""
+    weights = kernels._face_weights(a)
+
+    def helmholtz(v):
+        return v - dt * kernels._divergence(v, weights, hx, hy)
+
+    x = b.copy()
+    bnorm = math.sqrt(float(np.dot(b.ravel(), b.ravel())))
+    if bnorm == 0.0:
+        return x, 0, 0.0
+    r = b - helmholtz(x)
+    rs = float(np.dot(r.ravel(), r.ravel()))
+    target = rtol * bnorm
+    if math.sqrt(rs) <= target:
+        return x, 0, math.sqrt(rs) / bnorm
+    precondition = kernels._mean_coefficient_solver(a, dt, hx, hy)
+    z = precondition(r)
+    rz = float(np.dot(r.ravel(), z.ravel()))
+    p = z
+    it = 0
+    for it in range(1, int(maxiter) + 1):
+        ap = helmholtz(p)
+        pap = float(np.dot(p.ravel(), ap.ravel()))
+        if pap <= 0.0:
+            break
+        alpha = rz / pap
+        x = x + alpha * p
+        r = r - alpha * ap
+        rs = float(np.dot(r.ravel(), r.ravel()))
+        if math.sqrt(rs) <= target:
+            return x, it, math.sqrt(rs) / bnorm
+        z = precondition(r)
+        rz_new = float(np.dot(r.ravel(), z.ravel()))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, it, math.sqrt(rs) / bnorm
+
+
+def _variable_cases():
+    b, a = _random_problem((64, 1), 41)
+    yield b, a, 0.37, 2.0 / 64, 1.0
+    for profile in ("cosine", "gaussian"):
+        a, (hx, hy) = _profile_coefficient((96, 96), profile)
+        b, _ = _random_problem(a.shape, 43)
+        yield b, a, 5.0 / 32.0, hx, hy
+    b, a = _random_problem((12, 18), 47)
+    yield b, a, 0.05, 0.08, 0.05
+
+
+def test_variable_coefficient_solves_are_unchanged_bit_for_bit():
+    for b, a, dt, hx, hy in _variable_cases():
+        for maxiter in (10 * b.size, 3):
+            x, iters, relres = cg_solve(b, a, dt, hx, hy, 1e-13, maxiter)
+            x_ref, iters_ref, relres_ref = _pcg_from_b(b, a, dt, hx, hy, 1e-13, maxiter)
+            assert np.array_equal(x, x_ref)
+            assert iters == iters_ref
+            assert relres == relres_ref
+
+
+def _count_stencils(monkeypatch):
+    calls = []
+    original = kernels._divergence
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "_divergence", counting)
+    return calls
+
+
+@pytest.mark.parametrize("shape,hx,hy", [((20, 1), 0.05, 1.0)] + SPECTRAL_GRIDS[1:])
+def test_constant_coefficient_solve_is_one_stencil(monkeypatch, shape, hx, hy):
+    b, _ = _random_problem(shape, 53)
+    corners = b.copy()  # equal corner cells, yet not a constant
+    corners[-1, -1] = corners[0, 0]
+    a = np.full(shape, 0.7)
+    dt = 0.02
+    dense = _dense_helmholtz(a, dt, hx, hy)
+    calls = _count_stencils(monkeypatch)
+    for rhs in (b, corners):
+        calls.clear()
+        x, iters, relres = cg_solve(rhs, a, dt, hx, hy, 1e-13, 10 * b.size)
+        assert calls == [shape]
+        assert iters == 1
+        assert relres <= 1e-13
+        x_ref = np.linalg.solve(dense, rhs.ravel()).reshape(shape)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-14)
+
+
+def test_spectral_start_continues_with_pcg_when_rounding_misses_rtol(monkeypatch):
+    # At cond = 1e5 one spectral solve leaves a relative residual of about
+    # cond * eps > 1e-13; the solve carries on from there and converges.
+    shape, hx, hy = (64, 1), 1.0 / 64, 1.0
+    b, _ = _random_problem(shape, 59)
+    a = np.full(shape, 0.7)
+    dt = 1e5 / (0.7 * axis_spectrum(64, hx)[1][-1])
+    calls = _count_stencils(monkeypatch)
+    x, iters, relres = cg_solve(b, a, dt, hx, hy, 1e-13, 10 * b.size)
+    assert iters == 2 and len(calls) == 2
+    assert relres <= 1e-13
+    x_ref = np.linalg.solve(_dense_helmholtz(a, dt, hx, hy), b.ravel()).reshape(shape)
+    np.testing.assert_allclose(x, x_ref, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(16, 1), (6, 9)])
+def test_constant_rhs_with_constant_coefficient_skips_the_spectral_start(shape):
+    a = np.full(shape, 0.7)
+    b = np.full(shape, 3.25)
+    x, iters, relres = cg_solve(b, a, 0.1, 0.0625, 0.1, 1e-13, 10 * b.size)
+    assert np.array_equal(x, b) and x is not b
+    assert iters == 0 and relres == 0.0

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from sirblab import grid as grid_module
 from sirblab.integrator import BumpInit, ModeInit, RandomInit, SimConfig
 from sirblab.scenario import (
     DEFAULT_MODE_COUNT,
@@ -242,6 +243,77 @@ def test_build_sim_config_run_errors():
     with pytest.raises(ConfigError) as e:
         build_sim_config(doc)
     assert err_path(e) == "run"
+
+
+def _bound_mode_enumeration(monkeypatch):
+    """Make every neumann_modes lookup fail above MAX_MODE_COUNT modes."""
+    real = grid_module.neumann_modes
+
+    def bounded(grid, count):
+        if count > MAX_MODE_COUNT:
+            raise AssertionError(f"enumerated {count} modes before validation")
+        return real(grid, count)
+
+    for target in ("sirblab.grid.neumann_modes", "sirblab.integrator.neumann_modes",
+                   "sirblab.scenario.neumann_modes"):
+        monkeypatch.setattr(target, bounded, raising=False)
+
+
+def _mode_doc(cells=64, record_modes=(), initial_mode=None):
+    doc = scenario_doc()
+    doc["grid"]["cells"] = [cells]
+    doc["run"]["record_modes"] = list(record_modes)
+    if initial_mode is not None:
+        doc["initial"] = {"kind": "mode", "state": "Z4-branch-S2",
+                          "epsilon": 0.01, "mode": initial_mode}
+    return doc
+
+
+@pytest.mark.parametrize("index", [MAX_MODE_COUNT, 400000, 10**12])
+def test_record_mode_index_above_cap_is_rejected_before_enumeration(monkeypatch, index):
+    _bound_mode_enumeration(monkeypatch)
+    with pytest.raises(ConfigError) as e:
+        build_sim_config(_mode_doc(record_modes=[0, index]))
+    assert err_path(e) == "run.record_modes[1]"
+    assert str(MAX_MODE_COUNT) in str(e.value)
+
+
+@pytest.mark.parametrize("index", [MAX_MODE_COUNT, 400000, 10**12])
+def test_initial_mode_index_above_cap_is_rejected_before_enumeration(monkeypatch, index):
+    _bound_mode_enumeration(monkeypatch)
+    with pytest.raises(ConfigError) as e:
+        build_sim_config(_mode_doc(initial_mode=index))
+    assert err_path(e) == "initial.mode"
+    assert str(MAX_MODE_COUNT) in str(e.value)
+
+
+def test_unresolvable_modes_name_the_field(monkeypatch):
+    _bound_mode_enumeration(monkeypatch)
+    # 64 cells resolve the cosines j = 0..63 and nothing above.
+    cfg = build_sim_config(_mode_doc(record_modes=[0, 63], initial_mode=63))
+    assert cfg.record_modes == (0, 63) and cfg.initial.mode == 63
+    with pytest.raises(ConfigError, match="not resolvable") as e:
+        build_sim_config(_mode_doc(record_modes=[1, 2, 64]))
+    assert err_path(e) == "run.record_modes[2]"
+    with pytest.raises(ConfigError, match="not resolvable") as e:
+        build_sim_config(_mode_doc(initial_mode=64))
+    assert err_path(e) == "initial.mode"
+    with pytest.raises(ConfigError) as e:
+        build_sim_config(_mode_doc(record_modes=[0, -1]))
+    assert err_path(e) == "run.record_modes[1]"
+
+
+def test_unresolvable_2d_mode_below_the_cell_count_is_rejected():
+    # On 3 x 8 cells of the unit square mode 10, cos(3*pi*x), needs a fourth
+    # x cell, although the grid holds 24 cells; mode 9, cos(3*pi*y), is
+    # resolved.
+    doc = _mode_doc(record_modes=[9])
+    doc["grid"] = {"lengths": [1.0, 1.0], "cells": [3, 8]}
+    assert build_sim_config(doc).record_modes == (9,)
+    doc["run"]["record_modes"] = [9, 10]
+    with pytest.raises(ConfigError, match="not resolvable") as e:
+        build_sim_config(doc)
+    assert err_path(e) == "run.record_modes[1]"
 
 
 def test_shipped_scenarios_assemble():
