@@ -5,51 +5,69 @@ Implicit solve, kernels.cg_solve.
 Solves (I - dt*D) x = b once per repeat on each grid, with a constant
 coefficient (the preconditioner is then the exact inverse) and with a
 cosine profile varying by a factor of 3 (the case the preconditioner
-only approximates). Prints the median time per solve, the CG
-iterations and the final relative residual (one core, BLAS pinned to one
-thread)::
+only approximates); then four constant coefficients on the same grid,
+as one stacked call and as four calls with the coefficients prepared.
+Prints the median time per solve (per four solves for the last two
+rows), the CG iterations and the final relative residual (one core,
+BLAS pinned to one thread)::
 
     grid      coefficient        time  iters    relres
-    64        constant        43.2 us      1   5.0e-15
-    96x96     constant       361.1 us      1   5.8e-14
-    96x96     variable        7.83 ms     24   3.5e-14
-    256x256   constant        9.86 ms      2   1.6e-26
+    64        constant        59.2 us      1   5.0e-15
+    64        4 stacked       52.2 us      1   1.1e-14
+    64        4 apart        120.7 us
+    64x64     constant       155.1 us      1   1.9e-14
+    64x64     4 stacked      578.8 us      1   3.9e-14
+    64x64     4 apart        599.8 us
+    96x96     constant       331.5 us      1   5.8e-14
+    96x96     variable        7.33 ms     24   3.5e-14
+    96x96     4 stacked       1.93 ms      2   5.8e-14
+    96x96     4 apart         1.59 ms
+    256x256   constant        9.55 ms      2   1.6e-26
+    256x256   4 stacked      39.31 ms      2   3.2e-26
+    256x256   4 apart        33.43 ms
 
 A constant coefficient starts from the exact spectral solve: one
 transform pair and one stencil application. At 256x256 that leaves a
 rounding residual of about cond * eps, above the 1e-13 target, and a
-second iteration removes it. Started from x = b instead, the constant
-cases took 59.3 us, 494.1 us and 13.50 ms in back-to-back runs (the
-variable case, which still starts from b, 8.00 ms).
+second iteration removes it. On 64 cells four solves cost little more
+than one, because fixed per-call cost dominates; that is the stack
+``integrator.step`` uses for every species with a constant coefficient.
+On large grids the two rows are within the noise of this VM (an earlier
+run gave 2.36 against 3.59 ms at 96x96, stacked against apart); where
+the stack loses, the stacked temporaries are 128 KB and more, which
+glibc malloc maps fresh from the OS on each call by default.
 
 Mode analysis, on the 2 x 1 domain with 64x32 cells of the sweep-2d
 benchmark workload and the rates of scenarios/turing_point.json: the
 median time of grid.neumann_modes per mode count, and of
 stability.classify_state on the endemic (Z4) state per mode::
 
-    neumann_modes  64x32     256 modes      1.57 ms
-    neumann_modes  64x32    1024 modes      6.28 ms
-    neumann_modes  64x32    4096 modes     27.21 ms
-    classify_state Z4        256 modes      14.3 us/mode
+    neumann_modes  64x32     256 modes      1.29 ms
+    neumann_modes  64x32    1024 modes      5.67 ms
+    neumann_modes  64x32    4096 modes     23.19 ms
+    classify_state Z4        256 modes       9.3 us/mode
 
 Time stepping, on the start of scenarios/turing_point.json (64 cells,
-constant coefficients, dt from stability_dt) and on a 96x96 state with
+four constant coefficients, dt from stability_dt), on a 96x96 state with
 the damped rates of scenarios/damped_2d.json, cosine and gaussian
-diffusion profiles and random data (dt 5/32): the median time of one
-integrator.step, given the coefficient views ``_drive`` builds once per
-run, of one positivity check of a state and of its sup-norms::
+diffusion profiles and random data (dt 5/32), and on that state with
+four constant coefficients: the median time of one integrator.step,
+given the solver plan ``_drive`` builds once per run, of one positivity
+check of a state and of its sup-norms::
 
-    step           turing 64         172.4 us
-    step           hetero 96x96      24.36 ms
-    positivity     turing 64           7.4 us
-    positivity     hetero 96x96       19.7 us
-    sup_norms      turing 64           9.0 us
+    step           turing 64          73.8 us
+    step           hetero 96x96      25.21 ms
+    step           constant 96x96     1.72 ms
+    positivity     turing 64           9.1 us
+    positivity     hetero 96x96       20.3 us
+    sup_norms      turing 64           9.7 us
     sup_norms      hetero 96x96       19.9 us
 
-(2 vCPU VM, Python 3.11, numpy 2.4; the timings vary by about 20% from
-run to run on this VM). With every solve started from x = b and the
-coefficient views rebuilt each step, back-to-back runs gave 237.2 us and
-27.51 ms for the two steps.
+(2 vCPU VM, Python 3.11, numpy 2.4; the timings vary by 20% and more
+from run to run on this VM). With one cg_solve call per species and
+step, each testing its coefficient for constancy and building its
+preconditioner, back-to-back runs gave 211.0 us and 28.42 ms for the
+first two steps.
 
 Run as ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``; --grids
 takes grid shapes such as ``64 64x64 96x96 256x256``.
@@ -65,7 +83,7 @@ import numpy as np
 
 from sirblab import integrator
 from sirblab.grid import Grid, neumann_modes
-from sirblab.kernels import cg_solve
+from sirblab.kernels import cg_solve, prepare_coefficient, stack_coefficients
 from sirblab.model import ModelParams
 from sirblab.scenario import build_sim_config
 from sirblab.stability import DiffusionMatrix, classify_state
@@ -123,6 +141,14 @@ def problem(shape, variable, base=0.015):
     return b, a, hx, hy
 
 
+def stack_problem(shape, values=(0.015, 0.015, 0.03, 0.005)):
+    """Four constant coefficients, prepared, and one right-hand side each."""
+    b, _, hx, hy = problem(shape, False)
+    rhs = np.stack([b * (1.0 + 0.1 * k) for k in range(len(values))])
+    members = [prepare_coefficient(np.full(shape, v), hx, hy) for v in values]
+    return rhs, members, hx, hy
+
+
 def step_cases():
     """(label, config, state, dt) for the two step benchmarks."""
     turing = build_sim_config(json.loads(SCENARIO.read_text()))
@@ -142,9 +168,13 @@ def step_cases():
                       "high": [1.5, 0.6, 0.4, 1.2], "seed": 1}
     doc["run"] = {"t_end": 5.0}
     hetero = build_sim_config(doc)
+    doc["coefficients"] = {k: {"kind": "constant", "value": v}
+                           for k, v in zip(("a1", "a2", "a3", "a4"), (a, a, 2 * a, a / 3))}
+    constant = build_sim_config(doc)
     cases = []
     for label, cfg, cap in (("turing 64", turing, math.inf),
-                            ("hetero 96x96", hetero, 5.0 / 32.0)):
+                            ("hetero 96x96", hetero, 5.0 / 32.0),
+                            ("constant 96x96", constant, 5.0 / 32.0)):
         state = cfg.build_initial()
         dt = min(integrator.stability_dt(state, cfg.params), cap)
         cases.append((label, cfg, state, dt))
@@ -170,6 +200,17 @@ def main():
                             args.repeats)
             kind = "variable" if variable else "constant"
             print(f"{label:9s} {kind:11s} {fmt(t):>11s} {iters:6d} {relres:9.1e}")
+        rhs, members, hx, hy = stack_problem(shape)
+        stack = stack_coefficients(members)
+        maxiter = 10 * rhs[0].size
+        number = 200 if rhs[0].size <= 64 else 2
+        _, iters, relres = cg_solve(rhs, stack, args.dt, hx, hy, RTOL, maxiter)
+        t = per_call(lambda: cg_solve(rhs, stack, args.dt, hx, hy, RTOL, maxiter),
+                     args.repeats, number)
+        print(f"{label:9s} {'4 stacked':11s} {fmt(t):>11s} {iters:6d} {relres:9.1e}")
+        t = per_call(lambda: [cg_solve(r, c, args.dt, hx, hy, RTOL, maxiter)
+                              for r, c in zip(rhs, members)], args.repeats, number)
+        print(f"{label:9s} {'4 apart':11s} {fmt(t):>11s}")
 
     print()
     grid = Grid((2.0, 1.0), (64, 32))
@@ -189,9 +230,9 @@ def main():
     print()
     cases = step_cases()
     for label, cfg, state, dt in cases:
-        coeffs = integrator._coefficient_views(cfg)  # as _drive passes them
+        plan = integrator._solver_plan(cfg)  # as _drive passes it
         number = 200 if cfg.grid.ncells <= 64 else 2
-        t = per_call(lambda: integrator.step(state, dt, cfg, coeffs),
+        t = per_call(lambda: integrator.step(state, dt, cfg, plan),
                      args.repeats, number)
         print(f"{'step':14s} {label:14s} {fmt(t):>11s}")
     for name, fn in (("positivity", lambda s: integrator._check_positivity(s.values, s.t)),

@@ -9,9 +9,15 @@ Each implicit solve is a symmetric positive definite system handled by
 conjugate gradients preconditioned with the exact DCT solve at the mean
 coefficient (see kernels): for a constant coefficient the solve starts
 from that DCT solve and is one transform pair and one stencil
-application, a smoothly varying one takes a few dozen iterations. The
-``_drive`` builds the 2D coefficient views the kernels take once per run,
-not once per step, and a failed solve reports the iterations it made.
+application, a smoothly varying one takes a few dozen iterations.
+``_drive`` builds a ``SolverPlan`` once per run: each coefficient
+prepared by the kernels (constant or not, mean, axis spectra), and the
+stack of the species with a constant coefficient. Those species share
+one grid and one dt, so a step solves them as one stack (one transform
+pair and one stencil residual for all of them); each species with a
+variable coefficient is solved alone. A failed solve names its species
+and the iterations it made; a failed stack is solved again species by
+species to find it.
 
 The explicit reaction part limits dt: steps are kept below 0.5 over a
 Lipschitz estimate of the reaction Jacobian built from the current field
@@ -73,6 +79,9 @@ CG_RTOL = 1e-13
 MASS_RTOL = 1e-10
 
 _MIN_DT_FRACTION = 1e-9
+
+# Cells per block of snapshot rows converted to text at once.
+_CSV_BLOCK = 1024
 
 
 class PositivityError(RuntimeError):
@@ -325,14 +334,16 @@ class Trajectory:
         t, state = self.snapshots[index]
         grid = state.grid
         header = ["x", "y"][: grid.dim] + list(SPECIES)
-        coords = [c.ravel() for c in grid.meshgrid()]
-        comps = [state.values[k].ravel() for k in range(4)]
-        lines = [",".join(header)]
-        for c in range(grid.ncells):
-            vals = [coords[a][c] for a in range(grid.dim)]
-            vals += [comps[k][c] for k in range(4)]
-            lines.append(",".join(repr(float(v)) for v in vals))
-        return "\n".join(lines) + "\n"
+        columns = [c.ravel() for c in grid.meshgrid()] + list(state.values.reshape(4, -1))
+        blocks = [",".join(header)]
+        # one row per cell; tolist gives Python floats, whose repr is the
+        # shortest string that reads back to the same double. Rows are
+        # converted and joined a block at a time, so only one block's
+        # floats and row strings are alive at once.
+        for start in range(0, grid.ncells, _CSV_BLOCK):
+            block = [c[start:start + _CSV_BLOCK].tolist() for c in columns]
+            blocks.append("\n".join([",".join(map(repr, row)) for row in zip(*block)]))
+        return "\n".join(blocks) + "\n"
 
 
 @dataclass
@@ -373,13 +384,50 @@ def _check_positivity(values: np.ndarray, time: float) -> None:
             raise PositivityError(SPECIES[k], cell, low[k], time)
 
 
-def _coefficient_views(cfg: SimConfig) -> tuple:
-    """The four diffusion coefficients as the 2D arrays the kernels take."""
-    return tuple(kernels.as_2d(c.materialize(cfg.grid)) for c in cfg.coefficients)
+@dataclass(frozen=True)
+class SolverPlan:
+    """The four implicit solves of one run, prepared once by ``_drive``.
+
+    ``species`` holds each diffusion coefficient as ``kernels`` prepared
+    it: whether it is constant, the mean of a variable one, and the grid's
+    spectrum. The species with a constant coefficient, ``stacked``, share
+    one grid and one dt, so a step solves them as one stack, ``stack``;
+    every other species is solved alone.
+    """
+
+    species: tuple
+    stacked: tuple
+    stack: kernels.Coefficients | None
+    shape: tuple
+    spacing: tuple
+    maxiter: int
+
+
+def _solver_plan(cfg: SimConfig) -> SolverPlan:
+    """Prepare the run's diffusion coefficients for the implicit solves."""
+    hx, hy = kernels.spacing_2d(cfg.grid)
+    species = tuple(kernels.prepare_coefficient(kernels.as_2d(c.materialize(cfg.grid)), hx, hy)
+                    for c in cfg.coefficients)
+    stacked = tuple(k for k, c in enumerate(species) if c.constant)
+    stack = kernels.stack_coefficients([species[k] for k in stacked]) if stacked else None
+    return SolverPlan(species, stacked, stack, species[0].lam.shape, (hx, hy),
+                      10 * cfg.grid.ncells)
+
+
+def _solve(b, k: int, dt: float, plan: SolverPlan, t: float) -> np.ndarray:
+    """Species k alone; raises CGError if its solve misses CG_RTOL."""
+    x, iters, relres = kernels.cg_solve(b, plan.species[k], dt, *plan.spacing,
+                                        CG_RTOL, plan.maxiter)
+    if relres > CG_RTOL:
+        raise CGError(
+            f"implicit solve for {SPECIES[k]} stalled at relative residual "
+            f"{relres:.3e} after {iters} iterations (t = {t:.6g})"
+        )
+    return x
 
 
 def step(state: StateField, dt: float, cfg: SimConfig,
-         coeff_arrays=None) -> StateField:
+         plan: SolverPlan | None = None) -> StateField:
     """One IMEX step. Raises PositivityError if the result undershoots.
 
     Precondition: ``state`` has already passed the positivity check,
@@ -389,35 +437,42 @@ def step(state: StateField, dt: float, cfg: SimConfig,
     reaction terms are evaluated on the raw arrays: any negatives present
     are a few ulp deep and the rate formulas remain well defined there.
 
-    ``coeff_arrays``, if given, holds the coefficients as the 2D views
-    ``kernels.as_2d`` makes (``_drive`` builds them once per run); by
-    default they are built from ``cfg``.
+    ``plan``, if given, is the run's ``SolverPlan`` (``_drive`` builds it
+    once per run); by default it is built from ``cfg``. The species are
+    solved in order, the stack of constant ones at its first species, as
+    one ``kernels.cg_solve`` call. If the stack misses CG_RTOL, it and
+    every species after it are solved again alone, in order, so the
+    CGError names the first species that stalls and the iterations its own
+    solve made.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    grid = state.grid
-    if coeff_arrays is None:
-        coeff_arrays = _coefficient_views(cfg)
+    if plan is None:
+        plan = _solver_plan(cfg)
 
-    f = _rhs_terms(state.values[0], state.values[1],
-                   state.values[2], state.values[3], cfg.params)
-    hx, hy = kernels.spacing_2d(grid)
-    maxiter = 10 * grid.ncells
-    new_vals = np.empty_like(state.values)
+    rhs = np.array(_rhs_terms(state.values[0], state.values[1],
+                              state.values[2], state.values[3], cfg.params))
+    rhs *= dt
+    rhs += state.values
+    rhs = rhs.reshape((4,) + plan.shape)
+    new_vals = np.empty_like(rhs)
     for k in range(4):
-        rhs = state.values[k] + dt * f[k]
-        x, iters, relres = kernels.cg_solve(
-            kernels.as_2d(rhs), coeff_arrays[k], dt, hx, hy, CG_RTOL, maxiter)
-        if relres > CG_RTOL:
-            raise CGError(
-                f"implicit solve for {SPECIES[k]} stalled at relative residual "
-                f"{relres:.3e} after {iters} iterations (t = {state.t:.6g})"
-            )
-        new_vals[k] = x.reshape(grid.shape)
+        if k not in plan.stacked:
+            new_vals[k] = _solve(rhs[k], k, dt, plan, state.t)
+        elif k == plan.stacked[0]:
+            stacked = list(plan.stacked)
+            x, _, relres = kernels.cg_solve(rhs[stacked], plan.stack, dt, *plan.spacing,
+                                            CG_RTOL, plan.maxiter)
+            if relres > CG_RTOL:
+                for j in range(k, 4):
+                    new_vals[j] = _solve(rhs[j], j, dt, plan, state.t)
+                break
+            new_vals[stacked] = x
 
     t_new = state.t + dt
+    new_vals = new_vals.reshape(state.values.shape)
     _check_positivity(new_vals, t_new)
-    return StateField(grid, new_vals, t_new)
+    return StateField(state.grid, new_vals, t_new)
 
 
 def _reached(t: float, target: float) -> bool:
@@ -432,7 +487,7 @@ def _drive(cfg: SimConfig, on_state, on_step=None):
     on_state may return False to stop early.
     """
     state = cfg.build_initial()
-    coeff_arrays = _coefficient_views(cfg)
+    plan = _solver_plan(cfg)
     min_dt = _MIN_DT_FRACTION * cfg.t_end
     stops = sorted(cfg.snapshot_times)
     if on_step is None:
@@ -452,14 +507,14 @@ def _drive(cfg: SimConfig, on_state, on_step=None):
         if cfg.adaptive:
             while True:
                 try:
-                    new_state = step(state, dt, cfg, coeff_arrays)
+                    new_state = step(state, dt, cfg, plan)
                     break
                 except PositivityError:
                     dt *= 0.5
                     if dt < min_dt:
                         raise
         else:
-            new_state = step(state, dt, cfg, coeff_arrays)
+            new_state = step(state, dt, cfg, plan)
         nsteps += 1
         on_step(state, new_state, dt)
         keep_going = on_state(state, new_state)

@@ -33,12 +33,25 @@ uniform states stay uniform bit for bit. Iterations are counted as
 preconditioner applications, the spectral start included. The
 transforms are dense matrix products with a cached basis per axis, which
 keeps the module numpy-only.
+
+A coefficient is prepared once for many solves (``prepare_coefficient``):
+the constant test, the mean of a variable field, and the grid's
+spectrum; the face weights of a variable field are built per solve. Constant coefficients on one grid form a stack
+(``stack_coefficients``), solved by one ``cg_solve`` call on an
+(m, nx, ny) stack of right-hand sides: one forward transform, one scaling
+by 1/(1 + dt*a_k*lam_h), one inverse transform and one stencil residual
+for all members, with a relative residual per member; a member that
+misses the tolerance carries on in the PCG loop alone. A single 2D
+right-hand side with a constant coefficient is a stack of one, so the
+spectral start exists once. Variable coefficients are solved one field
+at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +60,9 @@ __all__ = [
     "as_2d",
     "spacing_2d",
     "axis_spectrum",
+    "Coefficients",
+    "prepare_coefficient",
+    "stack_coefficients",
     "diffusion_apply",
     "helmholtz_apply",
     "cg_solve",
@@ -92,16 +108,20 @@ def _face_weights(a):
 
 
 def _divergence(u, weights, hx, hy):
-    """div(a grad u) from precomputed face weights; boundary fluxes are zero."""
+    """div(a grad u) from precomputed face weights; boundary fluxes are zero.
+
+    ``u`` is one (nx, ny) field or a stack of them, (m, nx, ny); a stack
+    takes per-member constant weights of shape (m, 1, 1).
+    """
     wx, wy = weights
-    nx, ny = u.shape
-    fx = np.zeros((nx + 1, ny))
-    np.multiply(wx, u[1:, :] - u[:-1, :], out=fx[1:-1])
-    out = (fx[1:] - fx[:-1]) / (hx * hx)
+    nx, ny = u.shape[-2:]
+    fx = np.zeros(u.shape[:-2] + (nx + 1, ny))
+    np.multiply(wx, u[..., 1:, :] - u[..., :-1, :], out=fx[..., 1:-1, :])
+    out = (fx[..., 1:, :] - fx[..., :-1, :]) / (hx * hx)
     if ny > 1:  # a 1D field has no y faces
-        fy = np.zeros((nx, ny + 1))
-        np.multiply(wy, u[:, 1:] - u[:, :-1], out=fy[:, 1:-1])
-        out += (fy[:, 1:] - fy[:, :-1]) / (hy * hy)
+        fy = np.zeros(u.shape[:-1] + (ny + 1,))
+        np.multiply(wy, u[..., 1:] - u[..., :-1], out=fy[..., 1:-1])
+        out += (fy[..., 1:] - fy[..., :-1]) / (hy * hy)
     return out
 
 
@@ -120,7 +140,7 @@ helmholtz_apply = helmholtz_apply_numpy
 
 
 # ---------------------------------------------------------------------------
-# spectral preconditioner
+# spectral solve
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=32)
@@ -142,62 +162,85 @@ def axis_spectrum(n: int, h: float) -> tuple:
     return basis, lam
 
 
-def _mean_coefficient_solver(a, dt, hx, hy):
-    """r -> (I - dt*abar*D_1)^{-1} r, with D_1 the unit-coefficient stencil."""
-    nx, ny = a.shape
-    cx, lx = axis_spectrum(nx, hx)
-    abar = float(a.sum()) / a.size
-    if ny == 1:  # a 1D field: the y transform is the 1x1 identity, lam_y = [0]
-        inv = 1.0 / (1.0 + (dt * abar) * lx[:, None])
-        return lambda r: cx @ ((cx.T @ r) * inv)
-    cy, ly = axis_spectrum(ny, hy)
-    inv = 1.0 / (1.0 + (dt * abar) * (lx[:, None] + ly[None, :]))
-    return lambda r: cx @ ((cx.T @ r @ cy) * inv) @ cy.T
+@functools.lru_cache(maxsize=32)
+def _grid_spectrum(shape, hx, hy) -> tuple:
+    """((cx, cy), lam) of an (nx, ny) grid; lam[i, j] = lam_x[i] + lam_y[j].
 
-
-def cg_solve(b, a, dt, hx, hy, rtol, maxiter):
-    """Solve (I - dt*D) x = b by preconditioned conjugate gradients.
-
-    The preconditioner M is the exact spectral solve at the mean of ``a``.
-    The start follows from the input; there is no option:
-
-    * ``a`` constant (``a.min() == a.max()``) and ``b`` not: M is the
-      exact inverse, so the solve starts from x = M b, the one transform
-      pair, and checks it with one stencil residual. The start counts as
-      one iteration; if its rounding (about cond * eps relative) misses
-      ``rtol``, the PCG loop carries on from there.
-    * otherwise x = b. A constant ``b`` is then returned unchanged (D b = 0)
-      with 0 iterations and residual 0.0, so uniform states stay uniform
-      bit for bit; a variable ``a`` runs PCG from b.
-
-    The iteration count is the number of preconditioner applications the
-    returned x is built from (the spectral start included). Convergence
-    is judged on the unpreconditioned residual: returns (x, iterations,
-    relative_residual), and the caller checks ``relres <= rtol``.
+    A 1D field (one column) has no y transform: cy is None and lam is the
+    x eigenvalues as one column. Cached and read-only like axis_spectrum,
+    so the coefficients of one grid share one lam.
     """
-    bnorm = math.sqrt(float(np.dot(b.ravel(), b.ravel())))
-    if bnorm == 0.0:
-        return b.copy(), 0, 0.0
-    target = rtol * bnorm
-    coefficient = a.min()
-    constant = coefficient == a.max()
-    # 0.5 * (a + a) == a, so a constant is every face weight exactly
-    weights = (coefficient, coefficient) if constant else _face_weights(a)
+    nx, ny = shape
+    cx, lx = axis_spectrum(nx, hx)
+    if ny == 1:
+        return (cx, None), lx[:, None]
+    cy, ly = axis_spectrum(ny, hy)
+    lam = lx[:, None] + ly[None, :]
+    lam.setflags(write=False)
+    return (cx, cy), lam
 
-    def helmholtz(v):
-        # helmholtz_apply(v, a, ...) with the face weights computed once
-        return v - dt * _divergence(v, weights, hx, hy)
 
-    precondition = _mean_coefficient_solver(a, dt, hx, hy)
-    # the corner cells settle most right-hand sides without a scan
-    if constant and (b[0, 0] != b[-1, -1] or b.min() != b.max()):
-        x, it = precondition(b), 1
-    else:
-        x, it = b.copy(), 0
-    r = b - helmholtz(x)
-    rs = float(np.dot(r.ravel(), r.ravel()))
-    if math.sqrt(rs) <= target:
-        return x, it, math.sqrt(rs) / bnorm
+def _spectral(r, inv, basis):
+    """C ((C^T r) * inv) over the last two axes of one field or a stack."""
+    cx, cy = basis
+    if cy is None:
+        return cx @ ((cx.T @ r) * inv)
+    return cx @ ((cx.T @ r @ cy) * inv) @ cy.T
+
+
+def _mean_coefficient_solver(a, dt, hx, hy):
+    """r -> (I - dt*abar*D_1)^{-1} r, with D_1 the unit-coefficient stencil.
+
+    The preconditioner ``cg_solve`` applies to a variable field, built
+    here from the raw field instead of from its ``Coefficients``.
+    """
+    basis, lam = _grid_spectrum(a.shape, hx, hy)
+    inv = 1.0 / (1.0 + (dt * (float(a.sum()) / a.size)) * lam)
+    return lambda r: _spectral(r, inv, basis)
+
+
+@dataclass(frozen=True)
+class Coefficients:
+    """Diffusion coefficients on one grid, prepared once for many solves.
+
+    Either a stack of m constants (``constant`` True; ``scale`` holds the
+    values, shape (m, 1, 1), which are also every face weight) or one
+    variable field (``scale`` is its mean, ``field`` the 2D field, whose
+    face weights each solve builds).
+    ``basis`` and ``lam`` are the grid's spectrum (``_grid_spectrum``); the
+    preconditioner at coefficient c solves with 1 / (1 + dt*c*lam).
+    """
+
+    constant: bool
+    scale: object
+    field: np.ndarray | None
+    basis: tuple
+    lam: np.ndarray
+
+
+def prepare_coefficient(a, hx, hy) -> Coefficients:
+    """One 2D coefficient field, tested for constancy once: a stack of one
+    if ``a.min() == a.max()``, else a variable field."""
+    basis, lam = _grid_spectrum(a.shape, hx, hy)
+    value = a.min()
+    if value == a.max():
+        return Coefficients(True, np.full((1, 1, 1), float(value)), None, basis, lam)
+    return Coefficients(False, float(a.sum()) / a.size, a, basis, lam)
+
+
+def stack_coefficients(members) -> Coefficients:
+    """One stack of the constant coefficients ``members``, on one grid."""
+    scale = np.concatenate([m.scale for m in members])
+    return Coefficients(True, scale, None, members[0].basis, members[0].lam)
+
+
+# ---------------------------------------------------------------------------
+# implicit solve
+# ---------------------------------------------------------------------------
+
+def _pcg(x, r, rs, helmholtz, precondition, target, it, maxiter):
+    """Carry preconditioned CG on from x, whose residual r has r.r = rs,
+    after ``it`` iterations; returns (x, iterations, r.r)."""
     z = precondition(r)
     rz = float(np.dot(r.ravel(), z.ravel()))
     p = z
@@ -211,9 +254,92 @@ def cg_solve(b, a, dt, hx, hy, rtol, maxiter):
         r = r - alpha * ap
         rs = float(np.dot(r.ravel(), r.ravel()))
         if math.sqrt(rs) <= target:
-            return x, it, math.sqrt(rs) / bnorm
+            break
         z = precondition(r)
         rz_new = float(np.dot(r.ravel(), z.ravel()))
         p = z + (rz_new / rz) * p
         rz = rz_new
+    return x, it, rs
+
+
+def _constant_solve(b, c, dt, hx, hy, rtol, maxiter):
+    """The spectral start of ``cg_solve`` for a stack of constants."""
+    nx, ny = b.shape[-2:]
+    flat = b.reshape(-1, nx * ny)
+    w = c.scale.reshape(b.shape[:-2] + (1, 1))
+    inv = 1.0 / (1.0 + (dt * w) * c.lam)
+    x = _spectral(b, inv, c.basis)
+    members = x.reshape(-1, nx, ny)  # views of x, one per member
+    # the corner cells settle most right-hand sides without a scan
+    uniform = flat[:, 0] == flat[:, -1]
+    if uniform.any():
+        uniform &= flat.min(axis=1) == flat.max(axis=1)
+        members[uniform] = b.reshape(members.shape)[uniform]
+    r = b - (x - dt * _divergence(x, (w, w), hx, hy))
+    rflat = r.reshape(flat.shape)
+    bnorms = np.sqrt(np.einsum("ij,ij->i", flat, flat)).tolist()
+    rnorms = np.sqrt(np.einsum("ij,ij->i", rflat, rflat)).tolist()
+    iters, relres = 0, 0.0
+    for k, skip in enumerate(uniform.tolist()):
+        if skip:  # D b = 0: returned unchanged, 0 iterations, residual 0.0
+            continue
+        it, rnorm, target = 1, rnorms[k], rtol * bnorms[k]
+        if rnorm > target:  # the start's rounding missed rtol: carry on
+            wk, inv_k = w.reshape(-1)[k], inv.reshape(members.shape)[k]
+            members[k], it, rs = _pcg(
+                members[k], r.reshape(members.shape)[k], rnorm * rnorm,
+                lambda v: v - dt * _divergence(v, (wk, wk), hx, hy),
+                lambda v: _spectral(v, inv_k, c.basis), target, it, maxiter)
+            rnorm = math.sqrt(rs)
+        iters, relres = max(iters, it), max(relres, rnorm / bnorms[k])
+    return x, iters, relres
+
+
+def cg_solve(b, a, dt, hx, hy, rtol, maxiter):
+    """Solve (I - dt*D) x = b by preconditioned conjugate gradients.
+
+    ``a`` is a 2D coefficient field or ``Coefficients`` prepared for this
+    grid and spacing (``prepare_coefficient``, ``stack_coefficients``).
+    ``b`` is one (nx, ny) right-hand side, or, for a stack of m constants,
+    an (m, nx, ny) stack with one right-hand side per member. The
+    preconditioner M is the exact spectral solve at the coefficient's
+    mean. The start follows from the input; there is no option:
+
+    * constant coefficients: M is the exact inverse, so every member
+      starts from x = M b: one transform pair and one stencil residual for
+      the whole stack. The start counts as one iteration; a member whose
+      rounding (about cond * eps relative) misses ``rtol`` carries on in
+      the PCG loop alone. A member with a constant ``b`` is returned
+      unchanged (D b = 0) with 0 iterations and residual 0.0, so uniform
+      states stay uniform bit for bit.
+    * a variable coefficient: x = b, and PCG runs from there (a constant
+      ``b`` is its own solution and takes 0 iterations).
+
+    The iteration count is the number of preconditioner applications the
+    returned x is built from (the spectral start included); for a stack it
+    is the largest count of its members and the residual their largest
+    relative residual. Convergence is judged on the unpreconditioned
+    residual: returns (x, iterations, relative_residual), and the caller
+    checks ``relres <= rtol``.
+    """
+    c = a if isinstance(a, Coefficients) else prepare_coefficient(a, hx, hy)
+    if c.constant:
+        return _constant_solve(b, c, dt, hx, hy, rtol, maxiter)
+    bnorm = math.sqrt(float(np.dot(b.ravel(), b.ravel())))
+    if bnorm == 0.0:
+        return b.copy(), 0, 0.0
+    target = rtol * bnorm
+    weights = _face_weights(c.field)
+
+    def helmholtz(v):
+        # helmholtz_apply(v, a, ...) with the face weights computed once
+        return v - dt * _divergence(v, weights, hx, hy)
+
+    x, it = b.copy(), 0
+    r = b - helmholtz(x)
+    rs = float(np.dot(r.ravel(), r.ravel()))
+    if math.sqrt(rs) > target:
+        inv = 1.0 / (1.0 + (dt * c.scale) * c.lam)
+        x, it, rs = _pcg(x, r, rs, helmholtz, lambda v: _spectral(v, inv, c.basis),
+                         target, it, maxiter)
     return x, it, math.sqrt(rs) / bnorm

@@ -57,6 +57,8 @@ __all__ = [
     "parse_sweep",
     "DEFAULT_MODE_COUNT",
     "MAX_MODE_COUNT",
+    "MAX_AXIS_CELLS",
+    "MAX_GRID_CELLS",
 ]
 
 DEFAULT_MODE_COUNT = 32
@@ -64,6 +66,14 @@ DEFAULT_MODE_COUNT = 32
 # Upper limit on --modes / analysis.modes: every steady state builds one
 # 4x4 mode matrix per mode, so larger lists only burn time and memory.
 MAX_MODE_COUNT = 65536
+
+# Upper limits on grid.cells. An axis of n cells gets a dense n x n DCT
+# basis (32 MB at n = 2048, built with temporaries of the same size), and
+# a 2D transform costs O(n^3); the total bounds every per-cell array (a
+# state of 2^20 cells is 32 MB) and the CG iteration cap of 10 per cell.
+# Both are checked before anything of the grid's size is allocated.
+MAX_AXIS_CELLS = 2048
+MAX_GRID_CELLS = 1 << 20
 
 _COEFF_KEYS = ("a1", "a2", "a3", "a4")
 
@@ -152,6 +162,16 @@ def parse_grid(doc: dict, path: str = "grid") -> Grid:
     lengths = _number_list(_require(data, "lengths", path), f"{path}.lengths")
     cells = [_as_int(v, f"{path}.cells[{k}]")
              for k, v in enumerate(_as_list(_require(data, "cells", path), f"{path}.cells"))]
+    for k, n in enumerate(cells):
+        if n < 3:  # as Grid says, but before the total is taken
+            raise ConfigError(f"{path}.cells[{k}]",
+                              f"need at least 3 cells per axis, got {tuple(cells)}")
+        if n > MAX_AXIS_CELLS:
+            raise ConfigError(f"{path}.cells[{k}]",
+                              f"at most {MAX_AXIS_CELLS} cells per axis, got {n}")
+    if math.prod(cells) > MAX_GRID_CELLS:
+        raise ConfigError(f"{path}.cells", f"at most {MAX_GRID_CELLS} cells in all, "
+                                           f"got {'x'.join(map(str, cells))}")
     try:
         return Grid(tuple(lengths), tuple(cells))
     except ValueError as e:

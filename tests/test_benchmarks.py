@@ -1,5 +1,6 @@
-"""Smoke test of the kernel micro-benchmark script."""
+"""Smoke tests of the benchmark scripts."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -19,3 +20,24 @@ def test_bench_kernels_runs_on_a_small_grid():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "step" in proc.stdout and "turing 64" in proc.stdout
+
+
+def test_bench_e2e_records_a_tiny_run(tmp_path):
+    out = tmp_path / "BENCH_smoke.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_e2e.py"), "--label", "smoke",
+         "--size", "tiny", "--seconds", "1", "--workload", "turing-1d", "--seeds", "1",
+         "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert record["label"] == "smoke" and record["seeds"] == [1]
+    assert record["env"]["backend"] == "numpy" and "numba" in record["env"]
+    assert {"nproc", "python", "numpy", "l2_cache_bytes"} <= set(record["env"])
+    assert set(record["checkouts"]) == {"change"}
+    assert "commit" in record["checkouts"]["change"]
+    assert [(r["trace"], r["failed"]) for r in record["runs"]] == [(0, 0), (1, 0)]
+    summary = record["summary"]["turing-1d"]
+    assert summary["wall_s"]["change"]["n"] == 1
+    assert summary["kernels.cg_solves"]["change"]["median"] > 0
+    assert summary["failed"] == {"change": 0}

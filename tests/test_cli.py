@@ -7,7 +7,9 @@ import pytest
 
 from sirblab.cli import main
 from sirblab.grid import Grid, neumann_modes
-from sirblab.scenario import MAX_MODE_COUNT
+from sirblab import grid as grid_module
+from sirblab import kernels
+from sirblab.scenario import MAX_AXIS_CELLS, MAX_MODE_COUNT
 
 from common import REF, DAMPED
 
@@ -204,6 +206,22 @@ def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys):
     assert rc == 2
     assert stdout == ""
     assert "params" in stderr and "beta1" in stderr
+
+
+def test_simulate_rejects_an_oversized_grid_before_allocating(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocated grid-sized data before the grid was bounded")
+
+    monkeypatch.setattr(kernels, "axis_spectrum", forbidden)
+    monkeypatch.setattr(grid_module.CoefficientField, "materialize", forbidden)
+    doc = scenario_doc(grid={"lengths": [2.0], "cells": [MAX_AXIS_CELLS + 1]})
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    out = tmp_path / "o"
+    rc, stdout, stderr = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert "grid.cells[0]" in stderr
+    assert not out.exists()
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -491,3 +491,212 @@ def test_uniform_start_with_constant_coefficients_stays_uniform(monkeypatch, gri
     for state in states + [s for _, s in traj.snapshots]:
         flat = state.values.reshape(4, -1)
         assert np.array_equal(flat.min(axis=1), flat.max(axis=1)), state.t
+
+
+# ---------------------------------------------------------------------------
+# The per-run solver plan and the stacked step
+# ---------------------------------------------------------------------------
+
+def _profile_coefficients(grid, constant=(0, 2)):
+    """Constant coefficients at `constant`, smooth profiles elsewhere."""
+    coeffs = []
+    for k, a in enumerate((0.05, 0.04, 0.03, 0.01)):
+        if k in constant:
+            coeffs.append(CoefficientField.constant(a))
+        else:
+            coeffs.append(CoefficientField.from_profile(
+                "cosine", base=a, amplitude=0.5 * a, modes=[1] * grid.dim))
+    return tuple(coeffs)
+
+
+def test_solver_plan_stacks_the_constant_species():
+    plan = integrator._solver_plan(_cfg(make_params(), None, t_end=1.0))
+    assert plan.stacked == (0, 1, 2, 3)
+    assert plan.stack.scale.ravel().tolist() == [0.05, 0.05, 0.05, 0.01]
+    assert plan.shape == (32, 1) and plan.maxiter == 320
+
+    grid = Grid((1.0, 1.0), (12, 10))
+    cfg = SimConfig(grid, make_params(), _profile_coefficients(grid), None, t_end=1.0)
+    plan = integrator._solver_plan(cfg)
+    assert plan.stacked == (0, 2)
+    assert plan.stack.scale.ravel().tolist() == [0.05, 0.03]
+    assert [c.constant for c in plan.species] == [True, False, True, False]
+
+    cfg = SimConfig(grid, make_params(), _profile_coefficients(grid, constant=()), None,
+                    t_end=1.0)
+    plan = integrator._solver_plan(cfg)
+    assert plan.stacked == () and plan.stack is None
+
+
+def test_step_with_a_plan_prepares_nothing(monkeypatch):
+    # The constant test, face weights and means are taken once per run.
+    grid = Grid((1.0, 1.0), (12, 10))
+    cfg = SimConfig(grid, make_params(), _profile_coefficients(grid),
+                    RandomInit((0.5, 0.1, 0.1, 0.2), (1.5, 0.6, 0.4, 1.2), seed=3),
+                    t_end=1.0)
+    plan = integrator._solver_plan(cfg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("prepared a coefficient inside a step")
+
+    monkeypatch.setattr(integrator.kernels, "prepare_coefficient", forbidden)
+    out = step(cfg.build_initial(), 0.01, cfg, plan)
+    assert out.t == 0.01
+
+
+def _step_per_species(state, dt, cfg):
+    """One IMEX step with every species solved alone by cg_solve on its raw field."""
+    kern = integrator.kernels
+    hx, hy = kern.spacing_2d(state.grid)
+    f = integrator._rhs_terms(*state.values, cfg.params)
+    new_vals = np.empty_like(state.values)
+    for k in range(4):
+        a = kern.as_2d(cfg.coefficients[k].materialize(state.grid))
+        x, _, relres = kern.cg_solve(kern.as_2d(state.values[k] + dt * f[k]), a, dt, hx, hy,
+                                     integrator.CG_RTOL, 10 * state.grid.ncells)
+        assert relres <= integrator.CG_RTOL
+        new_vals[k] = x.reshape(state.grid.shape)
+    return StateField(state.grid, new_vals, state.t + dt)
+
+
+@pytest.mark.parametrize("grid", [Grid((2.0,), (40,)), Grid((1.0, 1.0), (12, 10))])
+def test_stacked_run_matches_per_species_solves(grid):
+    # Constant species 0 and 2 as one stack, variable 1 and 3 alone, against
+    # a run that solves every species alone with cg_solve.
+    cfg = SimConfig(grid, make_params(), _profile_coefficients(grid),
+                    RandomInit((0.5, 0.1, 0.1, 0.2), (1.5, 0.6, 0.4, 1.2), seed=5),
+                    t_end=0.2, dt=0.02, adaptive=False)
+    plan = integrator._solver_plan(cfg)
+    assert plan.stacked == (0, 2)
+    stacked = apart = cfg.build_initial()
+    n = 0
+    while stacked.t < cfg.t_end * (1.0 - 1e-12):
+        stacked = step(stacked, cfg.dt, cfg, plan)
+        apart = _step_per_species(apart, cfg.dt, cfg)
+        n += 1
+        for k in range(4):
+            scale = np.max(np.abs(apart.values[k]))
+            assert np.max(np.abs(stacked.values[k] - apart.values[k])) <= \
+                n * integrator.CG_RTOL * scale
+    assert n == 10
+
+
+def test_cg_error_names_the_first_stalled_species_of_a_stack(monkeypatch):
+    # The stack misses CG_RTOL; solved alone, S and I converge and R (the
+    # third member) stalls after 7 iterations.
+    original = integrator.kernels.cg_solve
+    calls = []
+
+    def failing(b, *args):
+        calls.append(b.shape)
+        if b.ndim == 3:
+            return b, 2, 1.0
+        if len(calls) == 4:
+            return b, 7, 0.5
+        return original(b, *args)
+
+    monkeypatch.setattr(integrator.kernels, "cg_solve", failing)
+    state = StateField.constant(GRID, [1.0, 0.5, 0.2, 0.5])
+    state.values[:, 3] *= 1.5
+    with pytest.raises(integrator.CGError) as e:
+        step(state, 0.01, _cfg(make_params(), None, t_end=1.0))
+    assert calls == [(4, 32, 1), (32, 1), (32, 1), (32, 1)]
+    assert "for R " in str(e.value) and "after 7 iterations" in str(e.value)
+
+
+def test_cg_error_after_a_failed_stack_keeps_the_species_order(monkeypatch):
+    # Stack (S, R) misses CG_RTOL; solved again in species order, S
+    # converges and I, before R, stalls: the error names I.
+    grid = Grid((1.0, 1.0), (12, 10))
+    cfg = SimConfig(grid, make_params(), _profile_coefficients(grid),
+                    RandomInit((0.5, 0.1, 0.1, 0.2), (1.5, 0.6, 0.4, 1.2), seed=3),
+                    t_end=1.0)
+    original = integrator.kernels.cg_solve
+    calls = []
+
+    def failing(b, *args):
+        calls.append(b.shape)
+        if b.ndim == 3:
+            return b, 2, 1.0
+        if len(calls) == 2:
+            return original(b, *args)
+        return b, 5, 0.5
+
+    monkeypatch.setattr(integrator.kernels, "cg_solve", failing)
+    with pytest.raises(integrator.CGError, match="for I .* after 5 iterations"):
+        step(cfg.build_initial(), 0.01, cfg)
+    assert calls == [(2, 12, 10), (12, 10), (12, 10)]
+
+
+def test_a_species_solved_alone_that_stalls_is_solved_once(monkeypatch):
+    grid = Grid((1.0, 1.0), (12, 10))
+    cfg = SimConfig(grid, make_params(), _profile_coefficients(grid, constant=(0, 2, 3)),
+                    RandomInit((0.5, 0.1, 0.1, 0.2), (1.5, 0.6, 0.4, 1.2), seed=3),
+                    t_end=1.0)
+    original = integrator.kernels.cg_solve
+    variable_calls = []
+
+    def stalling(b, a, *args):
+        if a.constant:
+            return original(b, a, *args)
+        variable_calls.append(b.shape)
+        return b, 4, 0.5
+
+    monkeypatch.setattr(integrator.kernels, "cg_solve", stalling)
+    with pytest.raises(integrator.CGError, match="for I .* after 4 iterations"):
+        step(cfg.build_initial(), 0.01, cfg)
+    assert variable_calls == [(12, 10)]
+
+
+def test_stack_failure_that_does_not_recur_alone_keeps_the_per_species_solves(monkeypatch):
+    original = integrator.kernels.cg_solve
+    cfg = _cfg(make_params(), None, t_end=1.0)
+    state = StateField.constant(GRID, [1.0, 0.5, 0.2, 0.5])
+    state.values[:, 3] *= 1.5
+    want = [original(integrator.kernels.as_2d(r), np.full((32, 1), a), 0.01,
+                     GRID.spacing[0], 1.0, integrator.CG_RTOL, 320)[0].ravel()
+            for r, a in zip(state.values + 0.01 * np.array(integrator._rhs_terms(
+                *state.values, cfg.params)), (0.05, 0.05, 0.05, 0.01))]
+    monkeypatch.setattr(integrator.kernels, "cg_solve",
+                        lambda b, *args: (b, 2, 1.0) if b.ndim == 3 else original(b, *args))
+    out = step(state, 0.01, cfg)
+    assert np.array_equal(out.values, np.array(want))
+
+
+# ---------------------------------------------------------------------------
+# Snapshot CSV
+# ---------------------------------------------------------------------------
+
+def _snapshot_csv_per_cell(traj, index):
+    """The per-cell formula the snapshot writer must reproduce byte for byte."""
+    t, state = traj.snapshots[index]
+    grid = state.grid
+    header = ["x", "y"][: grid.dim] + list(SPECIES)
+    coords = [c.ravel() for c in grid.meshgrid()]
+    comps = [state.values[k].ravel() for k in range(4)]
+    lines = [",".join(header)]
+    for c in range(grid.ncells):
+        vals = [coords[a][c] for a in range(grid.dim)]
+        vals += [comps[k][c] for k in range(4)]
+        lines.append(",".join(repr(float(v)) for v in vals))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block", [4, 7, 1024])
+@pytest.mark.parametrize("grid", [Grid((2.0,), (7,)), Grid((0.3, 1.0), (5, 3))])
+def test_snapshot_csv_matches_the_per_cell_formula(monkeypatch, grid, block):
+    monkeypatch.setattr(integrator, "_CSV_BLOCK", block)
+    rng = np.random.default_rng(79)
+    values = rng.uniform(0.0, 2.0, (4,) + grid.shape)
+    flat = values.reshape(4, -1)
+    flat[0, 0] = -0.0
+    flat[1, 1] = 5e-324
+    flat[2, 2] = 1e-300
+    flat[3, 3] = -2.5e-17
+    flat[0, -1] = 1e16
+    flat[1, -1] = 0.1 + 0.2
+    traj = integrator.Trajectory(config=_cfg(make_params(), None, t_end=1.0))
+    traj.snapshots.append((0.5, StateField(grid, values, 0.5)))
+    text = traj.snapshot_csv(0)
+    assert text == _snapshot_csv_per_cell(traj, 0)
+    assert ",-0.0," in text and "5e-324" in text and "0.30000000000000004" in text

@@ -296,3 +296,99 @@ def test_constant_rhs_with_constant_coefficient_skips_the_spectral_start(shape):
     x, iters, relres = cg_solve(b, a, 0.1, 0.0625, 0.1, 1e-13, 10 * b.size)
     assert np.array_equal(x, b) and x is not b
     assert iters == 0 and relres == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Stacked constant-coefficient solves
+# ---------------------------------------------------------------------------
+
+STACK_GRIDS = [((64, 1), 2.0 / 64, 1.0), ((12, 18), 0.08, 0.05), ((16, 16), 1.0 / 16, 1.0 / 16)]
+
+
+def _stack(values, shape, hx, hy):
+    members = [kernels.prepare_coefficient(np.full(shape, v), hx, hy) for v in values]
+    return kernels.stack_coefficients(members)
+
+
+@pytest.mark.parametrize("shape,hx,hy", STACK_GRIDS)
+def test_stacked_solve_matches_per_species_solves(shape, hx, hy):
+    # The coefficients of scenarios/turing_point.json, plus a fifth member.
+    values = (3e-5, 3e-5, 2.7728, 3e-5, 0.4)
+    rng = np.random.default_rng(61)
+    b = rng.uniform(0.0, 2.0, (len(values),) + shape)
+    dt = 0.01
+    x, iters, relres = cg_solve(b, _stack(values, shape, hx, hy), dt, hx, hy,
+                                1e-13, 10 * b[0].size)
+    assert x.shape == b.shape
+    assert iters == 1 and relres <= 1e-13
+    for k, v in enumerate(values):
+        xk, it, rk = cg_solve(b[k], np.full(shape, v), dt, hx, hy, 1e-13, 10 * b[0].size)
+        assert it == 1 and rk <= 1e-13
+        np.testing.assert_allclose(x[k], xk, rtol=0.0, atol=2e-14 * np.max(np.abs(xk)))
+        x_ref = np.linalg.solve(_dense_helmholtz(np.full(shape, v), dt, hx, hy),
+                                b[k].ravel()).reshape(shape)
+        np.testing.assert_allclose(x[k], x_ref, rtol=1e-12, atol=1e-14)
+
+
+def test_stiff_member_continues_in_pcg_while_the_others_stop(monkeypatch):
+    # Member 1 has cond = 1e5, so its spectral start misses 1e-13 and it
+    # carries on alone (one more stencil, on one field); the others stop
+    # after the start, which is one stencil on the whole stack.
+    shape, hx, hy = (64, 1), 1.0 / 64, 1.0
+    dt = 1e5 / (0.7 * axis_spectrum(64, hx)[1][-1])
+    values = (1e-9, 0.7, 2e-9)
+    b = np.random.default_rng(67).uniform(0.0, 2.0, (3,) + shape)
+    calls = _count_stencils(monkeypatch)
+    x, iters, relres = cg_solve(b, _stack(values, shape, hx, hy), dt, hx, hy,
+                                1e-13, 10 * b[0].size)
+    assert calls == [(3,) + shape, shape]
+    assert iters == 2 and relres <= 1e-13
+    for k, v in enumerate(values):
+        calls.clear()
+        xk, it, _ = cg_solve(b[k], np.full(shape, v), dt, hx, hy, 1e-13, 10 * b[0].size)
+        assert it == (2 if k == 1 else 1)
+        x_ref = np.linalg.solve(_dense_helmholtz(np.full(shape, v), dt, hx, hy),
+                                b[k].ravel()).reshape(shape)
+        np.testing.assert_allclose(x[k], x_ref, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(x[k], xk, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shape,hx,hy", STACK_GRIDS[:2])
+def test_constant_and_zero_rhs_members_come_back_unchanged(shape, hx, hy):
+    rng = np.random.default_rng(71)
+    b = rng.uniform(0.0, 2.0, (4,) + shape)
+    b[1] = 3.25
+    b[2] = 0.0
+    b[3, 0, 0] = b[3, -1, -1]  # equal corner cells, yet not a constant
+    coefficients = _stack((0.3, 0.3, 0.7, 0.3), shape, hx, hy)
+    x, iters, relres = cg_solve(b, coefficients, 0.05, hx, hy, 1e-13, 10 * b[0].size)
+    assert np.array_equal(x[1], b[1]) and np.array_equal(x[2], b[2])
+    assert not np.signbit(x[2]).any()
+    assert iters == 1 and relres <= 1e-13
+    for k in (0, 3):
+        assert not np.array_equal(x[k], b[k])
+        xk, _, _ = cg_solve(b[k], np.full(shape, 0.3), 0.05, hx, hy, 1e-13, 10 * b[0].size)
+        np.testing.assert_allclose(x[k], xk, rtol=0.0, atol=2e-14 * np.max(np.abs(xk)))
+    uniform = b[1:3].copy()
+    x, iters, relres = cg_solve(uniform, _stack((0.3, 0.7), shape, hx, hy), 0.05, hx, hy,
+                                1e-13, 10 * b[0].size)
+    assert np.array_equal(x, uniform) and x is not uniform
+    assert iters == 0 and relres == 0.0
+
+
+def test_prepared_coefficients_give_the_solves_of_the_raw_fields():
+    # cg_solve on a raw field prepares it on the spot: the same bits as a
+    # solve with the coefficients prepared once.
+    for b, a, dt, hx, hy in list(_variable_cases())[::3]:
+        prepared = kernels.prepare_coefficient(a, hx, hy)
+        assert not prepared.constant
+        got = cg_solve(b, prepared, dt, hx, hy, 1e-13, 10 * b.size)
+        want = cg_solve(b, a, dt, hx, hy, 1e-13, 10 * b.size)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    b, _ = _random_problem((12, 18), 73)
+    prepared = kernels.prepare_coefficient(np.full((12, 18), 0.7), 0.08, 0.05)
+    assert prepared.constant
+    got = cg_solve(b, prepared, 0.05, 0.08, 0.05, 1e-13, 10 * b.size)
+    want = cg_solve(b, np.full((12, 18), 0.7), 0.05, 0.08, 0.05, 1e-13, 10 * b.size)
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+

@@ -6,9 +6,12 @@ import json
 import pytest
 
 from sirblab import grid as grid_module
+from sirblab import kernels
 from sirblab.integrator import BumpInit, ModeInit, RandomInit, SimConfig
 from sirblab.scenario import (
     DEFAULT_MODE_COUNT,
+    MAX_AXIS_CELLS,
+    MAX_GRID_CELLS,
     MAX_MODE_COUNT,
     ConfigError,
     analysis_mode_count,
@@ -314,6 +317,54 @@ def test_unresolvable_2d_mode_below_the_cell_count_is_rejected():
     with pytest.raises(ConfigError, match="not resolvable") as e:
         build_sim_config(doc)
     assert err_path(e) == "run.record_modes[1]"
+
+
+def forbid_grid_allocation(monkeypatch):
+    """Make every per-cell or per-axis allocation of a grid fail."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocated grid-sized data before the grid was bounded")
+
+    monkeypatch.setattr(kernels, "axis_spectrum", forbidden)
+    monkeypatch.setattr(grid_module.CoefficientField, "materialize", forbidden)
+
+
+@pytest.mark.parametrize("cells,path,message", [
+    ([MAX_AXIS_CELLS + 1], "grid.cells[0]", "at most"),
+    ([10**12], "grid.cells[0]", "at most"),
+    ([8, MAX_AXIS_CELLS + 1], "grid.cells[1]", "at most"),
+    ([4 * MAX_AXIS_CELLS, 8], "grid.cells[0]", "at most"),
+    # the product of two negative axes is large, but the axes are the fault
+    ([-3000, -3000], "grid.cells[0]", "at least 3"),
+    ([8, 2], "grid.cells[1]", "at least 3"),
+])
+def test_grid_axis_outside_caps_is_rejected_before_allocation(monkeypatch, cells, path,
+                                                               message):
+    forbid_grid_allocation(monkeypatch)
+    doc = scenario_doc()
+    doc["grid"] = {"lengths": [1.0] * len(cells), "cells": cells}
+    with pytest.raises(ConfigError, match=message) as e:
+        build_sim_config(doc)
+    assert err_path(e) == path
+    sweep = sweep_doc()
+    sweep["base"] = doc
+    with pytest.raises(ConfigError) as e:
+        parse_grid(parse_sweep(sweep)[0])
+    assert err_path(e) == path
+
+
+def test_grid_total_cells_above_cap_is_rejected_before_allocation(monkeypatch):
+    forbid_grid_allocation(monkeypatch)
+    rows = MAX_GRID_CELLS // MAX_AXIS_CELLS
+    doc = scenario_doc()
+    doc["grid"] = {"lengths": [1.0, 1.0], "cells": [MAX_AXIS_CELLS, rows + 1]}
+    with pytest.raises(ConfigError, match=str(MAX_GRID_CELLS)) as e:
+        build_sim_config(doc)
+    assert err_path(e) == "grid.cells"
+    # at the caps exactly the grid is accepted (parse_grid allocates nothing)
+    doc["grid"]["cells"] = [MAX_AXIS_CELLS, rows]
+    assert parse_grid(doc).ncells == MAX_AXIS_CELLS * rows <= MAX_GRID_CELLS
+    doc["grid"] = {"lengths": [1.0], "cells": [MAX_AXIS_CELLS]}
+    assert parse_grid(doc).cells == (MAX_AXIS_CELLS,)
 
 
 def test_shipped_scenarios_assemble():
