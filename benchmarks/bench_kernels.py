@@ -45,7 +45,11 @@ stability.classify_state on the endemic (Z4) state per mode::
     neumann_modes  64x32     256 modes      1.29 ms
     neumann_modes  64x32    1024 modes      5.67 ms
     neumann_modes  64x32    4096 modes     23.19 ms
-    classify_state Z4        256 modes       9.3 us/mode
+    classify_state Z4        256 modes       5.9 us/mode
+
+(A back-to-back run gave 11.2 us/mode when the verdicts, the consistency
+checks and the per-mode records were made one mode at a time in Python;
+now the records are built only for JSON output.)
 
 Time stepping, on the start of scenarios/turing_point.json (64 cells,
 four constant coefficients, dt from stability_dt), on a 96x96 state with

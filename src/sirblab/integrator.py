@@ -31,7 +31,8 @@ always means the explicit part outran its stability bound. Every state
 is checked once, when it is produced: the initial state by
 ``build_initial`` (nonnegative and finite), every later one by the step
 that computes it, with one min and one max reduction over all four
-species.
+species. The sup-norms of that check stay with the state and set the
+next step's dt bound, so each state is reduced once.
 
 Snapshots land on the requested times: the driver also clips each step
 to the next pending snapshot time, as it clips the last step to t_end.
@@ -105,11 +106,19 @@ class CGError(RuntimeError):
 
 @dataclass
 class StateField:
-    """All four species on one grid at one time."""
+    """All four species on one grid at one time.
+
+    A state that ``step`` returns carries the sup-norms its positivity
+    check took, and ``sup_norms`` returns them without reducing the
+    field again; its values are read-only, so the two cannot drift apart
+    (``copy`` gives a writable state). Any other state reduces its values
+    on each ``sup_norms`` call.
+    """
 
     grid: Grid
     values: np.ndarray
     t: float = 0.0
+    _sup_norms: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.values, dtype=float))
@@ -130,6 +139,8 @@ class StateField:
         return ScalarField(self.grid, self.values[k])
 
     def sup_norms(self) -> np.ndarray:
+        if self._sup_norms is not None:
+            return np.array(self._sup_norms)
         return np.array(_extremes(self.values)[1])
 
     def copy(self) -> "StateField":
@@ -372,9 +383,11 @@ def stability_dt(state: StateField, p: ModelParams) -> float:
     return 0.5 / max(l1, l2, l3, l4)
 
 
-def _check_positivity(values: np.ndarray, time: float) -> None:
+def _check_positivity(values: np.ndarray, time: float) -> list:
     """Raise PositivityError for the first species, in S, I, R, B order,
     whose minimum lies below -POSITIVITY_RTOL times its sup-norm.
+
+    Returns the four sup-norms, as floats, for a state that passes.
     """
     low, scale = _extremes(values)
     for k in range(4):
@@ -382,6 +395,7 @@ def _check_positivity(values: np.ndarray, time: float) -> None:
             comp = values[k]
             cell = np.unravel_index(int(np.argmin(comp)), comp.shape)
             raise PositivityError(SPECIES[k], cell, low[k], time)
+    return scale
 
 
 @dataclass(frozen=True)
@@ -471,8 +485,11 @@ def step(state: StateField, dt: float, cfg: SimConfig,
 
     t_new = state.t + dt
     new_vals = new_vals.reshape(state.values.shape)
-    _check_positivity(new_vals, t_new)
-    return StateField(state.grid, new_vals, t_new)
+    sup_norms = _check_positivity(new_vals, t_new)
+    new_vals.flags.writeable = False
+    new_state = StateField(state.grid, new_vals, t_new)
+    new_state._sup_norms = sup_norms
+    return new_state
 
 
 def _reached(t: float, target: float) -> bool:

@@ -35,15 +35,20 @@ assembles every M_j as one (n, 4, 4) stack, and the eigenvalues, the
 Frobenius norms, the closed forms (stacked determinants and
 companion-matrix eigenvalues for the cubics) and the match over the 24
 pairings of numeric and closed-form eigenvalues each take one numpy call
-per steady state. Each mode's values are bit-identical to those of the
-mode computed alone; only the scalar verdict logic loops over modes.
+per steady state. The verdicts and the two consistency checks are array
+masks over the modes, with the comparisons and precedence of the
+one-mode rules, so each mode's values and verdict are those of the mode
+computed alone. The resulting ``StabilityReport`` holds per-mode arrays;
+it builds the per-mode ``ModeVerdict`` objects only when ``per_mode``
+(and so ``to_dict``) is asked for, and a sweep never asks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -211,6 +216,13 @@ class CubicCoeffs:
         return {"p": self.p, "q": self.q, "h": self.h}
 
 
+# Class codes of the array classifier, indexes into _CUBIC_CLASSES: the
+# trace case p <= 0, where the sign tests do not apply, then CubicClass.
+_CUBIC_CLASSES = np.array(["trace-nonnegative"] + [c.value for c in CubicClass])
+(_TRACE, _POSITIVE_ROOT, _ALL_NEGATIVE,
+ _POSITIVE_REAL_PART, _BOUNDARY) = range(len(_CUBIC_CLASSES))
+
+
 def classify_cubic(c: CubicCoeffs) -> CubicClass:
     """Root location of mu^3 + p mu^2 + q mu + h for p > 0 by sign tests.
 
@@ -222,19 +234,27 @@ def classify_cubic(c: CubicCoeffs) -> CubicClass:
     is negative at 0 and grows to +inf) and takes precedence over the
     Routh-Hurwitz product test; otherwise 0 < h < p*q means every root
     has negative real part and p*q < h means a conjugate pair has
-    crossed into the right half-plane.
+    crossed into the right half-plane. One cubic through
+    ``_cubic_classes``, which classifies arrays of them.
     """
     if not (c.p > 0.0):
         raise ValueError(f"classifier requires p > 0, got p = {c.p!r}")
-    pq = c.p * c.q
-    tol = MARGINAL_RTOL * (1.0 + abs(pq) + abs(c.h))
-    if abs(c.h) <= tol or abs(pq - c.h) <= tol:
-        return CubicClass.BOUNDARY
-    if c.h < 0.0:
-        return CubicClass.HAS_POSITIVE_ROOT
-    if c.h < pq:
-        return CubicClass.ALL_NEGATIVE
-    return CubicClass.HAS_POSITIVE_REAL_PART
+    code = _cubic_classes(*np.array([[c.p], [c.q], [c.h]], dtype=float))[0]
+    return CubicClass(_CUBIC_CLASSES[code])
+
+
+def _cubic_classes(p: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Class codes of mu^3 + p mu^2 + q mu + h, elementwise.
+
+    p <= 0 gives _TRACE; otherwise the tests of ``classify_cubic`` in its
+    order: the boundary within tolerance, then h < 0, then h < p*q.
+    """
+    pq = p * q
+    tol = MARGINAL_RTOL * (1.0 + np.abs(pq) + np.abs(h))
+    boundary = (np.abs(h) <= tol) | (np.abs(pq - h) <= tol)
+    return np.select([p <= 0.0, boundary, h < 0.0, h < pq],
+                     [_TRACE, _BOUNDARY, _POSITIVE_ROOT, _ALL_NEGATIVE],
+                     _POSITIVE_REAL_PART)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +322,11 @@ def damping_margins(z, p: ModelParams) -> DampingMargins:
 # Per-mode verdicts
 # ---------------------------------------------------------------------------
 
+# Verdict codes of the report's per-mode arrays, indexes into _VERDICTS.
+_VERDICTS = np.array(["stable", "marginal", "unstable"])
+_STABLE, _MARGINAL, _UNSTABLE = range(len(_VERDICTS))
+
+
 @dataclass
 class ModeVerdict:
     """Stability call for one Laplacian eigenvalue."""
@@ -340,17 +365,55 @@ class ModeVerdict:
 
 @dataclass
 class StabilityReport:
-    """Full mode-by-mode analysis of one steady state."""
+    """Full mode-by-mode analysis of one steady state, as per-mode arrays.
+
+    Row k of every array is mode k of the spectrum: its index ``j`` and
+    eigenvalue ``lam``, the sorted ``eigenvalues`` of its mode matrix,
+    their ``max_real`` part, the marginal ``tol`` and the ``verdict``
+    code (an index into ``_VERDICTS``). The closed-form columns are None
+    for families without them: ``cubic`` holds the (p, q, h) rows and
+    ``cubic_class`` the class strings of Z3 and Z4, ``closed_form_eigs``
+    the eigenvalues of Z1, Z2 and Z3, and ``closed_form_class`` the
+    closed-form verdict strings of every family but 'numeric'.
+    """
 
     state: SteadyState
     diffusion: DiffusionMatrix
-    per_mode: list
+    j: np.ndarray
+    lam: np.ndarray
+    eigenvalues: np.ndarray
+    max_real: np.ndarray
+    tol: np.ndarray
+    verdict: np.ndarray
+    cubic: np.ndarray | None
+    cubic_class: np.ndarray | None
+    closed_form_eigs: np.ndarray | None
+    closed_form_class: np.ndarray | None
     overall: str
     turing: bool
     aux: dict
     gershgorin_lambda: float
     tail_covered: bool
     margins: DampingMargins
+
+    @functools.cached_property
+    def per_mode(self) -> list:
+        """One ``ModeVerdict`` per mode, built from the arrays on first use."""
+        none = [None] * len(self.lam)
+        cubics = (none if self.cubic is None
+                  else [CubicCoeffs(*row) for row in self.cubic.tolist()])
+        classes = none if self.cubic_class is None else self.cubic_class.tolist()
+        cf_eigs = none if self.closed_form_eigs is None else self.closed_form_eigs
+        cf_class = none if self.closed_form_class is None else self.closed_form_class.tolist()
+        return [
+            ModeVerdict(j=j, lam=lam, eigenvalues=eigs, max_real=max_real, tol=tol,
+                        classification=verdict, cubic=cubic, cubic_class=cls,
+                        closed_form_eigs=cf, closed_form_class=cf_verdict)
+            for j, lam, eigs, max_real, tol, verdict, cubic, cls, cf, cf_verdict in zip(
+                self.j.tolist(), self.lam.tolist(), self.eigenvalues,
+                self.max_real.tolist(), self.tol.tolist(),
+                _VERDICTS[self.verdict].tolist(), cubics, classes, cf_eigs, cf_class)
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -366,22 +429,49 @@ class StabilityReport:
         }
 
 
-def _verdict_from_max_real(max_real: float, tol: float) -> str:
-    if abs(max_real) < tol:
-        return "marginal"
-    return "unstable" if max_real > 0.0 else "stable"
+def _verdicts(max_real: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Verdict codes: marginal where |max_real| < tol, else by its sign."""
+    return np.where(np.abs(max_real) < tol, _MARGINAL,
+                    np.where(max_real > 0.0, _UNSTABLE, _STABLE))
+
+
+def _cubic_verdicts(p, q, h, extra_real, tol):
+    """Class and verdict codes of a cubic with one extra real eigenvalue.
+
+    All arguments are arrays of one shape. When p <= 0 the sign
+    classifier does not apply, but the trace alone decides: the root sum
+    is -p >= 0, so some root has nonnegative real part, and the verdict
+    is unstable if p < -tol or the extra eigenvalue exceeds tol, marginal
+    otherwise. For p > 0 a positive root or real part is unstable, and so
+    is the boundary with q < -tol, whose roots -p, +/- sqrt(-q) include a
+    real instability rather than a knife edge; then an extra eigenvalue
+    above tol is unstable; then the boundary or an extra eigenvalue
+    within tol is marginal, and the rest stable.
+    """
+    cls = _cubic_classes(p, q, h)
+    trace, boundary = cls == _TRACE, cls == _BOUNDARY
+    cubic_unstable = np.where(
+        trace, p < -tol,
+        (cls == _POSITIVE_ROOT) | (cls == _POSITIVE_REAL_PART) | (boundary & (q < -tol)))
+    unstable = cubic_unstable | (extra_real > tol)
+    marginal = trace | boundary | (np.abs(extra_real) <= tol)
+    return cls, np.where(unstable, _UNSTABLE, np.where(marginal, _MARGINAL, _STABLE))
+
+
+# Every pairing of two lists of 4 eigenvalues, as index permutations.
+_PAIRINGS = np.array(list(itertools.permutations(range(4))))
 
 
 def _match_eigs(a: np.ndarray, b: np.ndarray):
     """Smallest max pairwise distance over all pairings of two eig lists.
 
-    a and b are (..., n) arrays; the result has the leading shape, one
-    distance per pair of rows.
+    a and b are (..., 4) arrays; the result has the leading shape, one
+    distance per pair of rows. The (..., 4, 4) distances |a_i - b_j| are
+    taken once and gathered along each of the 24 pairings.
     """
     a, b = np.asarray(a), np.asarray(b)
-    perms = np.array(list(itertools.permutations(range(b.shape[-1]))))
-    dist = np.abs(a[..., None, :] - b[..., perms])
-    return dist.max(axis=-1).min(axis=-1)
+    dist = np.abs(a[..., :, None] - b[..., None, :])
+    return dist[..., np.arange(4), _PAIRINGS].max(axis=-1).min(axis=-1)
 
 
 def _quadratic_roots(m1: np.ndarray, m2: np.ndarray):
@@ -430,46 +520,20 @@ def _cubic_roots(p: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _cubic_verdict(cubic: CubicCoeffs, extra_real: float, tol: float):
-    """Combine a cubic class with one extra real eigenvalue.
-
-    Returns (class_string_for_report, verdict). When p <= 0 the sign
-    classifier does not apply, but the trace alone decides: the root
-    sum is -p >= 0, so some root has nonnegative real part.
-    """
-    if cubic.p <= 0.0:
-        cls_str = "trace-nonnegative"
-        if extra_real > tol or cubic.p < -tol:
-            return cls_str, "unstable"
-        return cls_str, "marginal"
-    cls = classify_cubic(cubic)
-    if cls in (CubicClass.HAS_POSITIVE_ROOT, CubicClass.HAS_POSITIVE_REAL_PART):
-        return cls.value, "unstable"
-    if cls is CubicClass.BOUNDARY and cubic.q < -tol:
-        # roots -p, +/- sqrt(-q): the positive branch is a real
-        # instability, not a knife edge
-        return cls.value, "unstable"
-    if extra_real > tol:
-        return cls.value, "unstable"
-    if cls is CubicClass.BOUNDARY or abs(extra_real) <= tol:
-        return cls.value, "marginal"
-    return cls.value, "stable"
-
-
 def _closed_form(tag: str, jac: Jacobian4, m: np.ndarray, tol: np.ndarray):
     """Closed-form eigenvalues/classification for the known families.
 
     m is the (n, 4, 4) stack of mode matrices and tol their (n,)
     marginal tolerances. Returns (eigs, cubics, cubic_classes, verdicts,
-    exact): eigs is an (n, 4) array when ``exact`` and None otherwise,
-    the other three are lists with one entry (or None) per mode.
-    ``exact`` marks families where the closed form reproduces the full
-    spectrum and is checked against the numeric eigenvalues at
-    CROSSCHECK_RTOL.
+    exact), each None where the family has no such closed form: eigs is
+    an (n, 4) array when ``exact``, cubics the (n, 3) rows (p, q, h) of
+    Z3 and Z4, cubic_classes their (n,) class strings and verdicts the
+    (n,) verdict strings. ``exact`` marks families where the closed form
+    reproduces the full spectrum and is checked against the numeric
+    eigenvalues at CROSSCHECK_RTOL.
     """
     d = np.diagonal(m, axis1=-2, axis2=-1)  # J_kk - lambda * a_k
     n = len(m)
-    none = [None] * n
     if tag in ("Z1", "Z2"):
         eigs = np.empty((n, 4), dtype=complex)
         if tag == "Z1":
@@ -481,24 +545,18 @@ def _closed_form(tag: str, jac: Jacobian4, m: np.ndarray, tol: np.ndarray):
             m2 = d[:, 1] * d[:, 3] - j[3, 1] * j[1, 3]
             eigs[:, 2], eigs[:, 3] = _quadratic_roots(m1, m2)
         eigs = _sorted_eigs(eigs)
-        verdicts = [_verdict_from_max_real(x, t) for x, t in
-                    zip(np.max(eigs.real, axis=-1).tolist(), tol.tolist())]
-        return eigs, none, none, verdicts, True
+        verdicts = _VERDICTS[_verdicts(np.max(eigs.real, axis=-1), tol)]
+        return eigs, None, None, verdicts, True
     if tag != "Z3" and not tag.startswith("Z4"):
-        return None, none, none, none, False
+        return None, None, None, None, False
     # Z3: the B column decouples and the (S, I, R) block leaves a cubic.
     # Z4: reduced (S, I, R) cubic plus the B diagonal; drops the B
     # couplings, so only compared at classification level.
     p, q, h = _cubic_of_block(m[:, :3, :3])
     mu_b = d[:, 3]
-    cubics, classes, verdicts = [], [], []
-    for pk, qk, hk, bk, tk in zip(p.tolist(), q.tolist(), h.tolist(),
-                                  mu_b.tolist(), tol.tolist()):
-        cubic = CubicCoeffs(p=pk, q=qk, h=hk)
-        cls_str, verdict = _cubic_verdict(cubic, bk, tk)
-        cubics.append(cubic)
-        classes.append(cls_str)
-        verdicts.append(verdict)
+    classes, verdicts = _cubic_verdicts(p, q, h, mu_b, tol)
+    cubics = np.stack((p, q, h), axis=-1)
+    classes, verdicts = _CUBIC_CLASSES[classes], _VERDICTS[verdicts]
     if tag != "Z3":
         return None, cubics, classes, verdicts, False
     roots = np.empty((n, 4), dtype=complex)
@@ -534,6 +592,12 @@ def classify_state(state, p: ModelParams, diff: DiffusionMatrix,
     lambdas reach the Gershgorin tail threshold, and 'marginal'
     otherwise. The Turing flag marks instability that is invisible to
     well-mixed dynamics: mode 0 stable, some lambda > 0 unstable.
+
+    A ConsistencyError names the first mode, in spectrum order, whose
+    closed-form eigenvalues deviate from the numeric ones or whose
+    closed-form verdict contradicts the numeric one (neither marginal,
+    and the max real part beyond tol, plus the dropped B coupling's norm
+    for Z4); a mode failing both reports the deviation.
     """
     if isinstance(state, SteadyState):
         st = state
@@ -551,75 +615,65 @@ def classify_state(state, p: ModelParams, diff: DiffusionMatrix,
         jm = jac.matrix
         coupling = math.sqrt(jm[0, 3] ** 2 + jm[1, 3] ** 2 + jm[3, 1] ** 2)
 
-    # Every numeric step runs once on the (n, 4, 4) stack of mode matrices;
-    # only the scalar verdict logic below loops over modes.
+    # Every step runs once on the (n, 4, 4) stack of mode matrices or on
+    # the (n,) arrays of their results; nothing below loops over modes.
     modes = spectrum.modes if hasattr(spectrum, "modes") else spectrum
-    m = mode_matrix(jac, diff, [mode.lam for mode in modes])
+    lam = np.array([mode.lam for mode in modes])
+    m = mode_matrix(jac, diff, lam)
     eigs = eigenvalues4(m)
-    max_reals = np.max(eigs.real, axis=-1).tolist()
+    max_real = np.max(eigs.real, axis=-1)
     # Frobenius norms summed as np.linalg.norm sums one matrix (a dot
     # product of the 16 entries), so tol is the same float either way.
     flat = m.reshape(len(m), 1, 16)
     norms = np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
-    tols = MARGINAL_RTOL * (1.0 + norms)
+    tol = MARGINAL_RTOL * (1.0 + norms)
+    verdict = _verdicts(max_real, tol)
 
     cf_eigs, cubics, cubic_classes, cf_verdicts, exact = _closed_form(
-        base_tag, jac, m, tols)
+        base_tag, jac, m, tol)
+    mismatch = disagree = np.zeros(len(m), dtype=bool)
     if exact:
-        mismatches = _match_eigs(eigs, cf_eigs).tolist()
-    norms, tols = norms.tolist(), tols.tolist()
-
-    per_mode = []
-    for k, mode in enumerate(modes):
-        max_real, tol, cf_verdict = max_reals[k], tols[k], cf_verdicts[k]
-        verdict = _verdict_from_max_real(max_real, tol)
-        if exact and mismatches[k] > CROSSCHECK_RTOL * (1.0 + norms[k]):
+        deviation = _match_eigs(eigs, cf_eigs)
+        mismatch = deviation > CROSSCHECK_RTOL * (1.0 + norms)
+    if cf_verdicts is not None:
+        cf_verdicts = np.asarray(cf_verdicts)
+        disagree = ((cf_verdicts != _VERDICTS[verdict])
+                    & (cf_verdicts != "marginal") & (verdict != _MARGINAL)
+                    & (np.abs(max_real) > tol + (0.0 if exact else coupling)))
+    if mismatch.any() or disagree.any():
+        k = int(np.argmax(mismatch | disagree))
+        mode = modes[k]
+        if mismatch[k]:
             raise ConsistencyError(
                 f"{st.tag} mode {mode.j} (lambda={mode.lam:.6g}): closed-form "
-                f"eigenvalues deviate from numeric ones by {mismatches[k]:.3e}"
+                f"eigenvalues deviate from numeric ones by {float(deviation[k]):.3e}"
             )
-        if cf_verdict is not None and cf_verdict != verdict:
-            disagree_hard = (
-                "marginal" not in (cf_verdict, verdict)
-                and abs(max_real) > tol + (0.0 if exact else coupling)
-            )
-            if disagree_hard:
-                raise ConsistencyError(
-                    f"{st.tag} mode {mode.j} (lambda={mode.lam:.6g}): closed-form "
-                    f"route says {cf_verdict}, numeric eigenvalues say {verdict} "
-                    f"(max real part {max_real:.3e})"
-                )
-
-        per_mode.append(ModeVerdict(
-            j=mode.j, lam=mode.lam, eigenvalues=eigs[k], max_real=max_real,
-            tol=tol, classification=verdict,
-            cubic=cubics[k], cubic_class=cubic_classes[k],
-            closed_form_eigs=cf_eigs[k] if exact else None,
-            closed_form_class=cf_verdict,
-        ))
+        raise ConsistencyError(
+            f"{st.tag} mode {mode.j} (lambda={mode.lam:.6g}): closed-form "
+            f"route says {cf_verdicts[k]}, numeric eigenvalues say "
+            f"{_VERDICTS[verdict[k]]} (max real part {float(max_real[k]):.3e})"
+        )
 
     lam_g = gershgorin_tail(jac, diff)
-    lam_max = max(v.lam for v in per_mode)
-    tail_covered = lam_max >= lam_g
-
-    if any(v.classification == "unstable" for v in per_mode):
+    tail_covered = bool(lam.max() >= lam_g)
+    unstable = verdict == _UNSTABLE
+    if unstable.any():
         overall = "unstable"
-    elif all(v.classification == "stable" for v in per_mode) and tail_covered:
+    elif tail_covered and (verdict == _STABLE).all():
         overall = "stable"
     else:
         overall = "marginal"
-
-    turing = (per_mode[0].classification == "stable"
-              and any(v.lam > 0.0 and v.classification == "unstable"
-                      for v in per_mode))
+    turing = bool(verdict[0] == _STABLE and (unstable & (lam > 0.0)).any())
 
     margins = damping_margins(st.value, p)
     aux = _aux_quantities(base_tag, st, p, jac, margins)
 
     return StabilityReport(
-        state=st, diffusion=diff, per_mode=per_mode, overall=overall,
-        turing=turing, aux=aux, gershgorin_lambda=lam_g,
-        tail_covered=tail_covered, margins=margins,
+        state=st, diffusion=diff, j=np.array([mode.j for mode in modes]), lam=lam,
+        eigenvalues=eigs, max_real=max_real, tol=tol, verdict=verdict,
+        cubic=cubics, cubic_class=cubic_classes, closed_form_eigs=cf_eigs,
+        closed_form_class=cf_verdicts, overall=overall, turing=turing, aux=aux,
+        gershgorin_lambda=lam_g, tail_covered=tail_covered, margins=margins,
     )
 
 

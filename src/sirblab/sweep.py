@@ -97,7 +97,7 @@ def evaluate_point(point_doc: dict, spectrum=None) -> dict:
             else:
                 record[f"{family}.overall"] = report.overall
                 record[f"{family}.turing"] = bool(report.turing)
-                record[f"{family}.max_real0"] = float(report.per_mode[0].max_real)
+                record[f"{family}.max_real0"] = float(report.max_real[0])
         for tag in ("Z1", "Z2", "Z3"):
             record[f"{tag}.exists"] = present[tag]
         record["Z4.exists"] = bool(endemic_reports)
@@ -106,7 +106,7 @@ def evaluate_point(point_doc: dict, spectrum=None) -> dict:
             record["Z4.turing"] = any(bool(r.turing) for _, r in endemic_reports)
             top = max(endemic_reports, key=lambda sr: sr[0].i)
             record["Z4.overall"] = top[1].overall
-            record["Z4.max_real0"] = float(top[1].per_mode[0].max_real)
+            record["Z4.max_real0"] = float(top[1].max_real[0])
     except Exception as e:  # recorded in-row so the sweep survives bad corners
         record["error"] = f"{type(e).__name__}: {e}"
     return record

@@ -414,6 +414,22 @@ def test_sup_norms_equal_per_species_maxima():
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
+def test_stepped_state_keeps_the_sup_norms_of_its_positivity_check(monkeypatch):
+    cfg = _cfg(make_params(), RandomInit((0.5, 0.1, 0.1, 0.2), (1.5, 0.6, 0.4, 1.2), seed=5),
+               t_end=1.0)
+    out = step(cfg.build_initial(), 0.01, cfg)
+    want = [float(np.max(np.abs(out.values[k]))) for k in range(4)]
+    reductions = []
+    original = integrator._extremes
+    monkeypatch.setattr(integrator, "_extremes",
+                        lambda values: reductions.append(1) or original(values))
+    assert [v.hex() for v in out.sup_norms().tolist()] == [v.hex() for v in want]
+    assert stability_dt(out, cfg.params) == stability_dt(out.copy(), cfg.params)
+    assert len(reductions) == 1  # the copy reduces; the stepped state does not
+    with pytest.raises(ValueError):
+        out.values[0, 0] = 1.0
+    assert out.copy().values.flags.writeable
+
 def _count_checks(monkeypatch, fail_first=0):
     """Record the time of every positivity check; optionally fail the first ones."""
     calls = []

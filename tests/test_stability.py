@@ -1,11 +1,13 @@
 """Jacobians, per-mode eigenvalues, cubic classification, Turing detection."""
 
+import itertools
 import json
 import pathlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from sirblab.grid import Grid, neumann_modes
 from sirblab import stability
@@ -521,3 +523,194 @@ def test_corrupted_closed_form_names_the_lowest_bad_mode(monkeypatch, tag, corru
         message = f"{tag} mode 5 (lambda={lam:.6g}): closed-form route says "
     with pytest.raises(ConsistencyError, match="^" + re.escape(message)):
         classify_state(_states_by_tag(p)[tag], p, DIFF, spectrum)
+
+
+# ---------------------------------------------------------------------------
+# Array verdicts against the one-mode rules
+# ---------------------------------------------------------------------------
+
+def _scalar_cubic_class(p, q, h):
+    """One cubic, p > 0: the sign tests in the order classify_cubic documents."""
+    pq = p * q
+    tol = MARGINAL_RTOL * (1.0 + abs(pq) + abs(h))
+    if abs(h) <= tol or abs(pq - h) <= tol:
+        return "boundary"
+    if h < 0.0:
+        return "has-positive-root"
+    if h < pq:
+        return "all-negative-real-parts"
+    return "has-positive-real-part"
+
+
+def _scalar_cubic_verdict(p, q, h, extra_real, tol):
+    """One cubic with one extra real eigenvalue: (class, verdict)."""
+    if p <= 0.0:
+        unstable = extra_real > tol or p < -tol
+        return "trace-nonnegative", "unstable" if unstable else "marginal"
+    cls = _scalar_cubic_class(p, q, h)
+    if cls in ("has-positive-root", "has-positive-real-part"):
+        return cls, "unstable"
+    if cls == "boundary" and q < -tol:
+        return cls, "unstable"
+    if extra_real > tol:
+        return cls, "unstable"
+    if cls == "boundary" or abs(extra_real) <= tol:
+        return cls, "marginal"
+    return cls, "stable"
+
+
+_FINITE = hst.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@hst.composite
+def _cubic_case(draw):
+    tol = draw(hst.floats(1e-12, 1e-2))
+    # +/-tol, one ulp either side of each, and zero of both signs
+    edges = [x for t in (tol, -tol) for x in (t, np.nextafter(t, np.inf),
+                                               np.nextafter(t, -np.inf))] + [0.0, -0.0]
+    near = hst.sampled_from(edges)
+    p = draw(hst.one_of(_FINITE, near))
+    q = draw(hst.one_of(_FINITE, near))
+    pq = p * q
+    ctol = MARGINAL_RTOL * (1.0 + abs(pq))
+    h = draw(hst.one_of(
+        _FINITE, hst.just(0.0), hst.just(pq),
+        hst.sampled_from([np.nextafter(pq, np.inf), np.nextafter(pq, -np.inf),
+                         pq + ctol, pq - ctol, ctol, -ctol]),
+    ))
+    extra = draw(hst.one_of(_FINITE, near))
+    return p, q, float(h), extra, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.lists(_cubic_case(), min_size=1, max_size=16))
+def test_array_cubic_verdicts_equal_the_scalar_rules(cases):
+    p, q, h, extra, tol = (np.array(col) for col in zip(*cases))
+    classes, verdicts = stability._cubic_verdicts(p, q, h, extra, tol)
+    got = list(zip(stability._CUBIC_CLASSES[classes].tolist(),
+                   stability._VERDICTS[verdicts].tolist()))
+    assert got == [_scalar_cubic_verdict(*case) for case in cases]
+    for pk, qk, hk, _, _ in cases:
+        if pk > 0.0:
+            assert classify_cubic(CubicCoeffs(pk, qk, hk)).value == _scalar_cubic_class(pk, qk, hk)
+        else:
+            with pytest.raises(ValueError, match="requires p > 0"):
+                classify_cubic(CubicCoeffs(pk, qk, hk))
+
+
+def test_cubic_verdict_edges():
+    tol = 1e-6
+    up, down = np.nextafter(tol, np.inf), np.nextafter(-tol, -np.inf)
+    cases = [
+        (2.0, 4.0, 8.0, -1.0, tol),     # p*q == h exactly: boundary
+        (3.0, 3.0, 0.0, -1.0, tol),     # h == 0: boundary
+        (3.0, -2.0, -6.0, -1.0, tol),   # boundary with q < -tol: unstable
+        (0.0, 1.0, 1.0, -1.0, tol),     # p == 0: trace case, marginal
+        (-tol, 1.0, 1.0, -1.0, tol),    # p == -tol: marginal
+        (down, 1.0, 1.0, -1.0, tol),    # p one ulp below -tol: unstable
+        (3.0, 3.0, 1.0, tol, tol),      # extra == tol: marginal
+        (3.0, 3.0, 1.0, up, tol),       # one ulp above tol: unstable
+        (3.0, 3.0, 1.0, -tol, tol),     # extra == -tol: marginal
+        (3.0, 3.0, 1.0, down, tol),     # one ulp below -tol: stable
+    ]
+    p, q, h, extra, tols = (np.array(col) for col in zip(*cases))
+    _, verdicts = stability._cubic_verdicts(p, q, h, extra, tols)
+    assert stability._VERDICTS[verdicts].tolist() == [
+        "marginal", "marginal", "unstable", "marginal", "marginal", "unstable",
+        "marginal", "unstable", "marginal", "stable"]
+    assert [_scalar_cubic_verdict(*c)[1] for c in cases] == stability._VERDICTS[verdicts].tolist()
+
+
+# ---------------------------------------------------------------------------
+# Eigenvalue matching against the 24 pairings one by one
+# ---------------------------------------------------------------------------
+
+def _brute_force_match(a, b):
+    best = None
+    for perm in itertools.permutations(range(4)):
+        worst = np.abs(a - b[..., list(perm)]).max(axis=-1)
+        best = worst if best is None else np.minimum(best, worst)
+    return best
+
+
+def test_match_eigs_equals_brute_force():
+    rng = np.random.default_rng(17)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a = cplx(64, 4)
+    b = cplx(64, 4)
+    # the same values on both sides, each row in its own order, then
+    # nudged by rounding-sized noise
+    shuffled = np.array([row[rng.permutation(4)] for row in a])
+    nudged = shuffled + 1e-12 * cplx(64, 4)
+    # ties: repeated and conjugate values, so several pairings share
+    # their max distance
+    ties = np.array([[1 + 1j, 1 - 1j, 1 + 1j, 1 - 1j],
+                     [0.5, 0.5, 0.5, 0.5],
+                     [2j, -2j, 2j, 3.0],
+                     [0, 0, 1, 1]], dtype=complex)
+    cases = [(a, b), (a, shuffled), (a, nudged), (ties, ties[:, ::-1]),
+             (ties, ties + 0.25), (ties[::-1], ties)]
+    for x, y in cases:
+        got = stability._match_eigs(x, y)
+        assert np.array_equal(got, _brute_force_match(x, y))
+    assert np.array_equal(stability._match_eigs(a, shuffled), np.zeros(64))
+    # one pair of rows, no leading axis
+    assert np.array_equal(stability._match_eigs(a[3], b[3]), _brute_force_match(a[3], b[3]))
+
+
+# ---------------------------------------------------------------------------
+# Consistency errors of the cubic families
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tag, corrupt", [
+    ("Z3", "eigenvalues"), ("Z4-branch-S2", "verdicts"), ("Z3", "both"),
+])
+def test_corrupted_cubic_closed_form_names_the_lowest_bad_mode(monkeypatch, tag, corrupt):
+    # "both": the eigenvalues deviate at modes 9 and 5 as well, the
+    # verdict is flipped at mode 5 alone, and the deviation is reported.
+    p = make_params()
+    spectrum = _spectrum()
+    state = _states_by_tag(p)[tag]
+    clean = classify_state(state, p, DIFF, spectrum)
+    original = stability._closed_form
+
+    def corrupted(*args):
+        eigs, cubics, classes, verdicts, exact = original(*args)
+        if corrupt in ("eigenvalues", "both"):
+            eigs = eigs.copy()
+            for k in (9, 5):
+                eigs[k, 0] += 1.0
+        if corrupt in ("verdicts", "both"):
+            flip = {"stable": "unstable", "unstable": "stable"}
+            bad = (5, 9) if corrupt == "verdicts" else (5,)
+            verdicts = [flip[v] if k in bad else v for k, v in enumerate(verdicts)]
+        return eigs, cubics, classes, verdicts, exact
+
+    monkeypatch.setattr(stability, "_closed_form", corrupted)
+    lam = spectrum[5].lam
+    if corrupt == "verdicts":
+        assert clean.per_mode[5].classification == "stable"
+        message = (f"{tag} mode 5 (lambda={lam:.6g}): closed-form route says unstable, "
+                   f"numeric eigenvalues say stable "
+                   f"(max real part {clean.per_mode[5].max_real:.3e})")
+        pattern = "^" + re.escape(message) + "$"
+    else:
+        message = (f"{tag} mode 5 (lambda={lam:.6g}): closed-form eigenvalues "
+                   f"deviate from numeric ones by ")
+        pattern = "^" + re.escape(message)
+    with pytest.raises(ConsistencyError, match=pattern):
+        classify_state(state, p, DIFF, spectrum)
+
+
+def test_per_mode_is_built_once_from_the_arrays():
+    p = make_params()
+    for state in all_steady_states(p):
+        rep = classify_state(state, p, DIFF, _spectrum(8))
+        modes = rep.per_mode
+        assert modes is rep.per_mode
+        assert [v.max_real for v in modes] == rep.max_real.tolist()
+        assert all(type(v.max_real) is float and type(v.j) is int
+                   and type(v.classification) is str for v in modes)

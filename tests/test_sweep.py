@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from sirblab import sweep
+from sirblab import stability, sweep
 from sirblab.sweep import (
     DEFAULT_OUTPUTS,
     OUTPUT_COLUMNS,
@@ -65,6 +65,18 @@ def test_point_solver_failure_is_in_row_data():
     assert record["Z4.overall"] is None
     assert record["error"] != ""
     assert record["Z1.exists"] is True and record["Z1.overall"] == "unstable"
+
+
+def test_point_builds_no_per_mode_objects(monkeypatch):
+    expected = evaluate_point(point_doc())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep point built a ModeVerdict")
+
+    monkeypatch.setattr(stability, "ModeVerdict", refuse)
+    record = evaluate_point(point_doc())
+    assert record["error"] == ""
+    assert record == expected
 
 
 def test_point_config_failure_is_in_row_data():
