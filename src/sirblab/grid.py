@@ -17,9 +17,13 @@ cells vanishes.
 
 The Neumann eigenfunctions cos(j pi x / L) evaluated at cell centers
 form the DCT-II basis, which is exactly orthogonal under the discrete
-cell-volume inner product for mode indices below the cell count. Mode
+cell-volume inner product for mode indices below the cell count. The
+basis comes from ``kernels.axis_spectrum``, the cached orthonormal
+DCT-II matrix per axis that the implicit solver uses: a normalized mode
+profile is a column of it divided by sqrt(h) (the outer product of two
+columns in 2D), and a projection applies the columns to the field. Mode
 projections therefore measure perturbation amplitudes cleanly: constant
-fields have exactly zero projection on every mode with j >= 1.
+fields have zero projection, up to rounding, on every mode with j >= 1.
 """
 
 from __future__ import annotations
@@ -153,20 +157,30 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
 
-    def csv_rows(self):
-        """Yield (coords..., value) per cell, row-major over cell indices."""
-        coords = self.grid.meshgrid()
-        flat = [c.ravel() for c in coords]
-        vals = self.values.ravel()
-        for k in range(vals.size):
-            yield tuple(float(c[k]) for c in flat) + (float(vals[k]),)
-
     def to_csv(self) -> str:
-        header = ["x", "y"][: self.grid.dim] + ["value"]
-        lines = [",".join(header)]
-        for row in self.csv_rows():
-            lines.append(",".join(repr(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return _cells_csv(self.grid, ["value"], [self.values])
+
+
+# Cells per block of CSV rows converted to text at once.
+_CSV_BLOCK = 1024
+
+
+def _cells_csv(grid: Grid, names, columns, block: int = _CSV_BLOCK) -> str:
+    """CSV text with one row per cell: its center coordinates, then its
+    value in each field of ``columns``, headed ``names``.
+
+    tolist gives Python floats, whose repr is the shortest string that
+    reads back to the same double. Rows are converted and joined
+    ``block`` cells at a time, so only one block's floats and row strings
+    are alive at once.
+    """
+    header = ["x", "y"][: grid.dim] + list(names)
+    columns = [c.ravel() for c in (*grid.meshgrid(), *columns)]
+    blocks = [",".join(header)]
+    for start in range(0, grid.ncells, block):
+        rows = zip(*[c[start:start + block].tolist() for c in columns])
+        blocks.append("\n".join([",".join(map(repr, row)) for row in rows]))
+    return "\n".join(blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +302,6 @@ class CoefficientField:
             raise ValueError("coefficient is not spatially constant")
         return self.value
 
-    def to_csv(self, grid: Grid) -> str:
-        return ScalarField(grid, self.materialize(grid)).to_csv()
-
 
 # ---------------------------------------------------------------------------
 # Neumann cosine modes
@@ -368,37 +379,39 @@ def neumann_modes(grid: Grid, count: int) -> ModeSpectrum:
     return ModeSpectrum(grid, modes)
 
 
-def _axis_mode_values(grid: Grid, axis: int, j: int) -> np.ndarray:
-    """Normalized 1D factor of an eigenfunction at cell centers.
+def _mode_columns(grid: Grid, mode: Mode) -> list:
+    """Column of ``kernels.axis_spectrum`` for each axis index of a mode.
 
-    phi_0 = sqrt(1/L), phi_j = sqrt(2/L) cos(j pi x / L); under the
-    cell-volume inner product these are exactly orthonormal for j below
-    the cell count (midpoint DCT-II orthogonality).
+    Column j of an axis basis is cos(j pi x / L) at the cell centers,
+    normalized to 1 in the plain sum; divided by sqrt(h) it is normalized
+    under the cell-volume inner product. Raises ValueError for an index
+    the axis cannot resolve (j >= cells).
     """
-    L = grid.lengths[axis]
-    x = grid.axis_centers(axis)
-    if j == 0:
-        return np.full_like(x, math.sqrt(1.0 / L))
-    return math.sqrt(2.0 / L) * np.cos(j * math.pi * x / L)
+    columns = []
+    for axis, j in enumerate(mode.axis_indices):
+        n = grid.cells[axis]
+        if j >= n:
+            raise ValueError(
+                f"mode index {j} along axis {axis} is not resolvable on {n} cells"
+            )
+        columns.append(kernels.axis_spectrum(n, grid.spacing[axis])[0][:, j])
+    return columns
 
 
 def mode_profile(grid: Grid, mode: Mode) -> np.ndarray:
     """Normalized eigenfunction samples for one mode, shape grid.shape."""
-    for axis, j in enumerate(mode.axis_indices):
-        if j >= grid.cells[axis]:
-            raise ValueError(
-                f"mode index {j} along axis {axis} is not resolvable on "
-                f"{grid.cells[axis]} cells"
-            )
-    factors = [_axis_mode_values(grid, axis, j)
-               for axis, j in enumerate(mode.axis_indices)]
+    factors = [c / math.sqrt(h) for c, h in zip(_mode_columns(grid, mode), grid.spacing)]
     if grid.dim == 1:
         return factors[0]
     return np.outer(factors[0], factors[1])
 
 
 def project_mode(u: ScalarField, j: int, spectrum: ModeSpectrum | None = None) -> float:
-    """Amplitude of mode j in the field: <u, phi_j> with cell-volume weights."""
+    """Amplitude of mode j in the field: <u, phi_j> with cell-volume weights.
+
+    The basis columns are applied to the field directly (cx @ u, or
+    cx @ u @ cy in 2D), so no profile of the grid's size is built.
+    """
     if j < 0:
         raise ValueError(f"mode index must be >= 0, got {j}")
     if spectrum is None:
@@ -407,8 +420,12 @@ def project_mode(u: ScalarField, j: int, spectrum: ModeSpectrum | None = None) -
         raise ValueError("mode spectrum belongs to a different grid")
     if j >= len(spectrum):
         raise ValueError(f"mode index {j} out of range for spectrum of {len(spectrum)}")
-    phi = mode_profile(u.grid, spectrum[j])
-    return float(np.sum(u.values * phi) * u.grid.cell_volume)
+    columns = _mode_columns(u.grid, spectrum[j])
+    amp = columns[0] @ u.values
+    if u.grid.dim == 2:
+        amp = amp @ columns[1]
+    vol = u.grid.cell_volume
+    return float(amp * (vol / math.sqrt(vol)))
 
 
 # ---------------------------------------------------------------------------

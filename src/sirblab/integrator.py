@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .grid import Grid, CoefficientField, ScalarField, neumann_modes, mode_profile, project_mode
+from .grid import (Grid, CoefficientField, ScalarField, neumann_modes, mode_profile,
+                   project_mode, _CSV_BLOCK, _cells_csv)
 from .model import ModelParams, check_regime, _rhs_terms
 
 __all__ = [
@@ -80,9 +81,6 @@ CG_RTOL = 1e-13
 MASS_RTOL = 1e-10
 
 _MIN_DT_FRACTION = 1e-9
-
-# Cells per block of snapshot rows converted to text at once.
-_CSV_BLOCK = 1024
 
 
 class PositivityError(RuntimeError):
@@ -342,19 +340,8 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
     def snapshot_csv(self, index: int) -> str:
-        t, state = self.snapshots[index]
-        grid = state.grid
-        header = ["x", "y"][: grid.dim] + list(SPECIES)
-        columns = [c.ravel() for c in grid.meshgrid()] + list(state.values.reshape(4, -1))
-        blocks = [",".join(header)]
-        # one row per cell; tolist gives Python floats, whose repr is the
-        # shortest string that reads back to the same double. Rows are
-        # converted and joined a block at a time, so only one block's
-        # floats and row strings are alive at once.
-        for start in range(0, grid.ncells, _CSV_BLOCK):
-            block = [c[start:start + _CSV_BLOCK].tolist() for c in columns]
-            blocks.append("\n".join([",".join(map(repr, row)) for row in zip(*block)]))
-        return "\n".join(blocks) + "\n"
+        state = self.snapshots[index][1]
+        return _cells_csv(state.grid, SPECIES, state.values, _CSV_BLOCK)
 
 
 @dataclass
@@ -567,10 +554,10 @@ def simulate(cfg: SimConfig) -> Trajectory:
     def record(state: StateField) -> None:
         traj.times.append(state.t)
         cellvol = cfg.grid.cell_volume
+        sup = state.sup_norms().tolist()
         for k, s in enumerate(SPECIES):
-            comp = state.values[k]
-            traj.sup[s].append(float(np.max(np.abs(comp))))
-            traj.l1[s].append(float(np.sum(np.abs(comp)) * cellvol))
+            traj.sup[s].append(sup[k])
+            traj.l1[s].append(float(np.sum(np.abs(state.values[k])) * cellvol))
         mass = float(np.sum(state.values[0] + state.values[1] + state.values[2])
                      * cellvol)
         traj.mass.append(mass)

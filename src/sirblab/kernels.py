@@ -66,8 +66,6 @@ __all__ = [
     "diffusion_apply",
     "helmholtz_apply",
     "cg_solve",
-    "diffusion_apply_numpy",
-    "helmholtz_apply_numpy",
 ]
 
 
@@ -125,18 +123,14 @@ def _divergence(u, weights, hx, hy):
     return out
 
 
-def diffusion_apply_numpy(u, a, hx, hy):
+def diffusion_apply(u, a, hx, hy):
     """div(a grad u), zero-flux boundaries, second order flux form."""
     return _divergence(u, _face_weights(a), hx, hy)
 
 
-def helmholtz_apply_numpy(x, a, dt, hx, hy):
+def helmholtz_apply(x, a, dt, hx, hy):
     """(I - dt*D) x for the implicit diffusion step."""
-    return x - dt * diffusion_apply_numpy(x, a, hx, hy)
-
-
-diffusion_apply = diffusion_apply_numpy
-helmholtz_apply = helmholtz_apply_numpy
+    return x - dt * diffusion_apply(x, a, hx, hy)
 
 
 # ---------------------------------------------------------------------------

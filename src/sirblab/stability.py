@@ -21,26 +21,32 @@ Two routes are computed per mode and cross-checked:
                eigenvalues are the diagonal entries; at Z2 the S row
                and R column split off, leaving a quadratic in the (I,B)
                block; at Z3 the B column splits off, leaving a cubic in
-               the (S,I,R) block; at Z4 the (S,I,R) block yields a
-               cubic and the B diagonal is tracked separately, which
-               drops the (weak) B couplings and is therefore compared
-               at classification level with an allowance of that
-               coupling's norm.
+               the (S,I,R) block and the B diagonal; at Z4 the (S,I,R)
+               block yields a cubic and the B diagonal is tracked
+               separately, which drops the (weak) B couplings and is
+               therefore compared at classification level with an
+               allowance of that coupling's norm.
 
 Cubics are classified by sign tests on their coefficients
 (``classify_cubic``), the quadratic and linear factors in closed form.
+The Z3 cubic's roots are taken as the eigenvalues of its 3x3 block, not
+from its coefficients: with equal diffusion of S, I and R the block has
+a nearly double eigenvalue at large lambda, where roots computed from
+the coefficients lose about half their digits and the block's
+eigenvalues keep them.
 
 Both routes run on the whole spectrum at once: ``classify_state``
 assembles every M_j as one (n, 4, 4) stack, and the eigenvalues, the
-Frobenius norms, the closed forms (stacked determinants and
-companion-matrix eigenvalues for the cubics) and the match over the 24
-pairings of numeric and closed-form eigenvalues each take one numpy call
-per steady state. The verdicts and the two consistency checks are array
-masks over the modes, with the comparisons and precedence of the
-one-mode rules, so each mode's values and verdict are those of the mode
-computed alone. The resulting ``StabilityReport`` holds per-mode arrays;
-it builds the per-mode ``ModeVerdict`` objects only when ``per_mode``
-(and so ``to_dict``) is asked for, and a sweep never asks.
+Frobenius norms, the closed forms (stacked determinants for the cubic
+coefficients, stacked eigenvalues of the Z3 blocks) and the match over
+the 24 pairings of numeric and closed-form eigenvalues each take one
+numpy call per steady state. The verdicts and the two consistency
+checks are array masks over the modes, with the comparisons and
+precedence of the one-mode rules, so each mode's values and verdict are
+those of the mode computed alone. The resulting ``StabilityReport``
+holds per-mode arrays; it builds the per-mode ``ModeVerdict`` objects
+only when ``per_mode`` (and so ``to_dict``) is asked for, and a sweep
+never asks.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from enum import Enum
 
 import numpy as np
 
+from .grid import ModeSpectrum
 from .model import ModelParams
 from .steady import SteadyState
 
@@ -504,22 +511,6 @@ def _cubic_of_block(block: np.ndarray):
     return -tr, minors, -np.linalg.det(block)
 
 
-def _cubic_roots(p: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Roots of mu^3 + p mu^2 + q mu + h per entry, shape (n, 3).
-
-    Companion-matrix eigenvalues in one stacked call, built as np.roots
-    builds them; entries with h == 0, where np.roots strips trailing zero
-    coefficients, go through np.roots itself.
-    """
-    comp = np.zeros((len(p), 3, 3))
-    comp[:, 0, 0], comp[:, 0, 1], comp[:, 0, 2] = -p, -q, -h
-    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-    roots = np.linalg.eigvals(comp).astype(complex)
-    for k in np.flatnonzero(h == 0.0):
-        roots[k] = CubicCoeffs(p[k], q[k], h[k]).roots()
-    return roots
-
-
 def _closed_form(tag: str, jac: Jacobian4, m: np.ndarray, tol: np.ndarray):
     """Closed-form eigenvalues/classification for the known families.
 
@@ -559,8 +550,9 @@ def _closed_form(tag: str, jac: Jacobian4, m: np.ndarray, tol: np.ndarray):
     classes, verdicts = _CUBIC_CLASSES[classes], _VERDICTS[verdicts]
     if tag != "Z3":
         return None, cubics, classes, verdicts, False
+    # the cubic's roots, from its block: accurate near a double root
     roots = np.empty((n, 4), dtype=complex)
-    roots[:, :3] = _cubic_roots(p, q, h)
+    roots[:, :3] = np.linalg.eigvals(m[:, :3, :3])
     roots[:, 3] = mu_b
     return _sorted_eigs(roots), cubics, classes, verdicts, True
 
@@ -580,7 +572,7 @@ def gershgorin_tail(jac: Jacobian4, diff: DiffusionMatrix) -> float:
 
 
 def classify_state(state, p: ModelParams, diff: DiffusionMatrix,
-                   spectrum) -> StabilityReport:
+                   spectrum: ModeSpectrum) -> StabilityReport:
     """Mode-by-mode linear stability of a steady state.
 
     state may be a SteadyState or a bare nonnegative 4-vector (treated
@@ -617,8 +609,7 @@ def classify_state(state, p: ModelParams, diff: DiffusionMatrix,
 
     # Every step runs once on the (n, 4, 4) stack of mode matrices or on
     # the (n,) arrays of their results; nothing below loops over modes.
-    modes = spectrum.modes if hasattr(spectrum, "modes") else spectrum
-    lam = np.array([mode.lam for mode in modes])
+    lam = spectrum.lambdas()
     m = mode_matrix(jac, diff, lam)
     eigs = eigenvalues4(m)
     max_real = np.max(eigs.real, axis=-1)
@@ -642,7 +633,7 @@ def classify_state(state, p: ModelParams, diff: DiffusionMatrix,
                     & (np.abs(max_real) > tol + (0.0 if exact else coupling)))
     if mismatch.any() or disagree.any():
         k = int(np.argmax(mismatch | disagree))
-        mode = modes[k]
+        mode = spectrum[k]
         if mismatch[k]:
             raise ConsistencyError(
                 f"{st.tag} mode {mode.j} (lambda={mode.lam:.6g}): closed-form "
@@ -669,7 +660,7 @@ def classify_state(state, p: ModelParams, diff: DiffusionMatrix,
     aux = _aux_quantities(base_tag, st, p, jac, margins)
 
     return StabilityReport(
-        state=st, diffusion=diff, j=np.array([mode.j for mode in modes]), lam=lam,
+        state=st, diffusion=diff, j=np.array([mode.j for mode in spectrum.modes]), lam=lam,
         eigenvalues=eigs, max_real=max_real, tol=tol, verdict=verdict,
         cubic=cubics, cubic_class=cubic_classes, closed_form_eigs=cf_eigs,
         closed_form_class=cf_verdicts, overall=overall, turing=turing, aux=aux,

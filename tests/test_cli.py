@@ -118,6 +118,15 @@ def test_stability_mode_count_override(tmp_path, capsys):
     assert len(payload["reports"][0]["per_mode"]) == 8
 
 
+def test_stability_of_endemic_1d_passes_its_crosscheck_at_256_modes(capsys):
+    # the Z3 (S, I, R) block has a nearly double eigenvalue at mode 143
+    cfg = str(SCENARIOS / "endemic_1d.json")
+    rc, stdout, stderr = run_cli(capsys, "stability", "--config", cfg, "--modes", "256")
+    assert rc == 0, stderr
+    reports = {r["state"]["tag"]: r for r in json.loads(stdout)["reports"]}
+    assert len(reports["Z3"]["per_mode"]) == 256
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Grids, diffusion operator, coefficient fields, and the Neumann spectrum."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from sirblab.grid import (
     CoefficientField,
     Grid,
+    Mode,
     ScalarField,
     apply_diffusion,
     mode_profile,
     neumann_modes,
     project_mode,
 )
+from sirblab.kernels import axis_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +164,28 @@ def test_project_mode_out_of_range():
     spec = neumann_modes(g, 3)
     with pytest.raises((IndexError, ValueError)):
         project_mode(ScalarField.constant(g, 1.0), 7, spec)
+
+
+@pytest.mark.parametrize("lengths, cells", [
+    ((4.0,), (16,)), ((1.0, 1.0), (16, 16)), ((4.0, 0.25), (16, 16)), ((2.0, 1.0), (32, 16)),
+], ids=["1d", "square", "unequal-spacing", "non-square"])
+def test_mode_profile_is_the_solver_basis_column(lengths, cells):
+    # Power-of-two spacings make the sqrt(h) scaling exact, so the profile
+    # must be the cached DCT-II column bit for bit, for every resolvable
+    # mode; the next index along each axis is not resolvable.
+    g = Grid(lengths, cells)
+    bases = [axis_spectrum(n, h)[0] for n, h in zip(g.cells, g.spacing)]
+    scale = math.sqrt(g.cell_volume)
+    for idx in itertools.product(*(range(n) for n in cells)):
+        profile = mode_profile(g, Mode(0, idx, 0.0, ""))
+        want = bases[0][:, idx[0]]
+        if g.dim == 2:
+            want = np.outer(want, bases[1][:, idx[1]])
+        assert np.array_equal(profile * scale, want)
+    for axis, n in enumerate(cells):
+        idx = tuple(n if k == axis else 0 for k in range(g.dim))
+        with pytest.raises(ValueError, match="not resolvable"):
+            mode_profile(g, Mode(0, idx, 0.0, ""))
 
 
 def test_project_2d_orthonormality():

@@ -480,21 +480,27 @@ def test_batched_verdicts_equal_single_mode_recomputation(overrides, tags):
             if v.cubic is not None:  # Z3 and Z4
                 assert v.cubic.h == -float(np.linalg.det(m[:3, :3]))
             if st.tag == "Z3":
-                roots = np.append(np.roots([1.0, v.cubic.p, v.cubic.q, v.cubic.h])
-                                  .astype(complex), complex(m[3, 3]))
+                roots = np.append(np.linalg.eigvals(m[:3, :3]).astype(complex),
+                                  complex(m[3, 3]))
                 expect = roots[np.lexsort((-roots.imag, -roots.real))]
                 assert np.array_equal(v.closed_form_eigs, expect)
 
 
-def test_stacked_cubic_roots_equal_np_roots():
-    # rows 2-4 have trailing zero coefficients, which np.roots strips
-    p = np.array([2.03945079, 0.5, 1.5, 3.0, 0.0])
-    q = np.array([1.76377351, -40.0, 2.0, 0.0, 0.0])
-    h = np.array([0.508542411, -1.0, 0.0, 0.0, 0.0])
-    roots = stability._cubic_roots(p, q, h)
-    for k in range(len(p)):
-        expect = np.roots([1.0, p[k], q[k], h[k]]).astype(complex)
-        assert np.array_equal(roots[k], expect)
+@pytest.mark.parametrize("count", [256, 8192])
+def test_z3_closed_form_stays_accurate_near_a_double_root(count):
+    # endemic_1d has a1 = a2 = a3, so at large lambda the Z3 (S, I, R)
+    # block has a nearly double eigenvalue (-2523.81 +/- 0.246i at mode
+    # 143), where roots of the cubic's coefficients lose about half their
+    # digits; the closed form must keep the digits the numeric route has.
+    doc = json.loads((SCENARIOS / "endemic_1d.json").read_text())
+    p = ModelParams.from_dict(doc["params"])
+    c = doc["coefficients"]
+    diff = DiffusionMatrix(*(c[k]["value"] for k in ("a1", "a2", "a3", "a4")))
+    grid = Grid(tuple(doc["grid"]["lengths"]), tuple(doc["grid"]["cells"]))
+    rep = classify_state(_states_by_tag(p)["Z3"], p, diff, neumann_modes(grid, count))
+    m = mode_matrix(jacobian(rep.state.value, p, tag="Z3"), diff, rep.lam)
+    deviation = stability._match_eigs(rep.eigenvalues, rep.closed_form_eigs)
+    assert np.max(deviation / (1.0 + np.linalg.norm(m, axis=(1, 2)))) < 1e-13
 
 
 @pytest.mark.parametrize("tag, corrupt", [("Z1", "eigenvalues"), ("Z2", "verdicts")])
