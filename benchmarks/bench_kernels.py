@@ -1,4 +1,4 @@
-"""Time of the implicit solve, of the mode analysis and of one time step.
+"""Time of the implicit solve, the mode analysis, the steady states and one step.
 
 Implicit solve, kernels.cg_solve.
 
@@ -45,11 +45,26 @@ stability.classify_state on the endemic (Z4) state per mode::
     neumann_modes  64x32     256 modes      1.29 ms
     neumann_modes  64x32    1024 modes      5.67 ms
     neumann_modes  64x32    4096 modes     23.19 ms
-    classify_state Z4        256 modes       5.9 us/mode
+    classify_state Z4        256 modes       6.0 us/mode
 
 (A back-to-back run gave 11.2 us/mode when the verdicts, the consistency
 checks and the per-mode records were made one mode at a time in Python;
-now the records are built only for JSON output.)
+now the records are built only for JSON output. Three back-to-back runs
+gave 6.2-7.4 us/mode with the spectrum arrays rebuilt per state, the
+lexsort and the Jacobian on numpy scalars, and 6.0-6.4 us/mode now; most
+of it is the stacked eigen-solve.)
+
+Steady states, on the rates of scenarios/turing_point.json: the median
+time of steady.solve_endemic (the scan, the bisection of each bracket
+and the assembly of its state) and of steady.SteadyState.make on the
+endemic state it finds::
+
+    solve_endemic    turing_point      300.3 us
+    SteadyState.make turing_point        7.3 us
+
+(Three back-to-back runs gave 1.57-1.69 ms and 72-87 us when the
+bisection objective and the residual ran on numpy scalars, against
+281-329 us and 7.3-7.7 us on Python floats.)
 
 Time stepping, on the start of scenarios/turing_point.json (64 cells,
 four constant coefficients, dt from stability_dt), on a 96x96 state with
@@ -91,7 +106,7 @@ from sirblab.kernels import cg_solve, prepare_coefficient, stack_coefficients
 from sirblab.model import ModelParams
 from sirblab.scenario import build_sim_config
 from sirblab.stability import DiffusionMatrix, classify_state
-from sirblab.steady import solve_endemic
+from sirblab.steady import SteadyState, solve_endemic
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 SCENARIO = SCENARIOS / "turing_point.json"
@@ -230,6 +245,12 @@ def main():
     t = median_time(lambda: classify_state(z4, p, diff, spectrum), args.repeats)
     print(f"classify_state {z4.tag[:2]:6s} {len(spectrum):6d} modes  "
           f"{t / len(spectrum) * 1e6:8.1f} us/mode")
+
+    print()
+    t = per_call(lambda: solve_endemic(p), args.repeats, 20)
+    print(f"{'solve_endemic':16s} {'turing_point':14s} {fmt(t):>11s}")
+    t = per_call(lambda: SteadyState.make(z4.tag, z4.value, p), args.repeats, 2000)
+    print(f"{'SteadyState.make':16s} {'turing_point':14s} {fmt(t):>11s}")
 
     print()
     cases = step_cases()

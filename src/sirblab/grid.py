@@ -29,6 +29,7 @@ fields have zero projection, up to rounding, on every mode with j >= 1.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -328,8 +329,21 @@ class ModeSpectrum:
     def __getitem__(self, j: int) -> Mode:
         return self.modes[j]
 
+    @functools.cached_property
+    def _columns(self) -> tuple:
+        """Mode indices and eigenvalues as two read-only arrays, built once."""
+        j = np.array([m.j for m in self.modes])
+        lam = np.array([m.lam for m in self.modes])
+        j.flags.writeable = lam.flags.writeable = False
+        return j, lam
+
+    def indices(self) -> np.ndarray:
+        """Index j of every mode, in order (read-only, shared by all callers)."""
+        return self._columns[0]
+
     def lambdas(self) -> np.ndarray:
-        return np.array([m.lam for m in self.modes])
+        """Eigenvalue of every mode, in order (read-only, shared by all callers)."""
+        return self._columns[1]
 
 
 def _describe(indices, lengths) -> str:

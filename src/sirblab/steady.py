@@ -34,15 +34,30 @@ S_branch - S_inf over (0, I_star] and bisects each bracket to machine
 precision; it trusts the threshold as the existence gate and reports a
 bracket failure, rather than silently returning nothing, if the gate
 says yes but no sign change is found.
+
+The scan evaluates both branches on the whole 1,400-point grid as numpy
+arrays. Bisection evaluates one I at a time, thousands of times per
+parameter set, so its objective ``_phi_float`` runs the same formulas on
+Python floats with ``math.sqrt``: a numpy call on one element costs
+about a microsecond of dispatch, the float operation a few tens of
+nanoseconds. The roots are bit-identical to an array bisection, because
+``_phi_float`` performs the operations of ``_s_branches`` minus
+``_s_infection`` in their order, every IEEE-754 addition, subtraction,
+multiplication and division rounds the same whether numpy or Python
+performs it, and ``math.sqrt`` is correctly rounded like ``np.sqrt``. The one place where Python differs from numpy, a division
+by zero, which Python raises and numpy answers with inf or nan, is
+handed to numpy. The steady states themselves (``SteadyState.make``,
+``residual``) evaluate the reaction terms on floats too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, reaction_rhs, saturation_h1
+from .model import ModelParams, _rhs_terms, saturation_h1
 
 __all__ = [
     "SteadyState",
@@ -90,12 +105,21 @@ class SteadyState:
 
     @classmethod
     def make(cls, tag: str, value, p: ModelParams) -> "SteadyState":
+        """Check a candidate state and record its residual.
+
+        Rejects (ValueError naming the tag) negative or non-finite
+        components, a non-finite residual and a residual above
+        RESIDUAL_RTOL * (1 + max |z|).
+        """
         arr = np.asarray(value, dtype=float).reshape(4)
-        if np.any(arr < 0.0):
+        z = arr.tolist()
+        if any(v < 0.0 for v in z):
             raise ValueError(f"steady state {tag} has negative components: {arr}")
-        res = residual(arr, p)
-        bound = RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(arr))))
-        if res > bound:
+        if not all(map(math.isfinite, z)):
+            raise ValueError(f"steady state {tag} has non-finite components: {arr}")
+        res = _max_abs_rate(*z, p)
+        bound = RESIDUAL_RTOL * (1.0 + max(map(abs, z)))
+        if not res <= bound:  # a NaN residual fails too
             raise ValueError(
                 f"candidate {tag} is not steady: residual {res:.3e} exceeds {bound:.3e}"
             )
@@ -148,8 +172,24 @@ class EndemicDiagnostics:
 
 def residual(z, p: ModelParams) -> float:
     """Max-abs reaction rate at a nonnegative 4-vector."""
-    z = np.asarray(z, dtype=float).reshape(4)
-    return reaction_rhs(z, p).max_abs()
+    z = np.asarray(z, dtype=float).reshape(4).tolist()
+    for name, v in zip("SIRB", z):
+        if v < 0.0:
+            raise ValueError(f"{name} must be nonnegative")
+    return _max_abs_rate(*z, p)
+
+
+def _max_abs_rate(s: float, i: float, r: float, b: float, p: ModelParams) -> float:
+    """max |f_k| of the reaction terms at one state, on Python floats.
+
+    Equal to ``reaction_rhs(z, p).max_abs()``, NaN included: builtin max
+    skips a NaN that is not its first argument, so a NaN rate is
+    returned explicitly, as np.max would.
+    """
+    rates = _rhs_terms(s, i, r, b, p)
+    if any(f != f for f in rates):
+        return math.nan
+    return max(map(abs, rates))
 
 
 def trivial_states(p: ModelParams) -> list:
@@ -231,6 +271,48 @@ def _s_branches(i, p: ModelParams, c2: float):
     return s_hi, s_lo
 
 
+def _bacteria_of_i_float(i: float, p: ModelParams) -> float:
+    """``_bacteria_of_i`` at one float I, operation for operation."""
+    m = p.g0 - p.d4
+    root = math.sqrt(m * m + 4.0 * p.g0 * p.xi * i / p.k3)
+    if m >= 0.0:
+        return p.k3 * (m + root) / (2.0 * p.g0)
+    return 2.0 * p.xi * i / (root - m)
+
+
+def _s_infection_float(i: float, p: ModelParams) -> float:
+    """``_s_infection`` at one float I, operation for operation.
+
+    Keeps the B >= 0 check of ``saturation_h1``. Rates that underflow
+    can make the infection pressure exactly 0; that quotient is taken by
+    numpy, which returns inf or nan (with its warning) where Python
+    would raise.
+    """
+    b = _bacteria_of_i_float(i, p)
+    if b < 0.0:
+        raise ValueError("B must be nonnegative")
+    num = (p.d2 + p.gamma) * i
+    den = p.beta1 * i + p.beta2 * (b / (b + p.k2))
+    if den == 0.0:
+        return float(np.float64(num) / den)
+    return num / den
+
+
+def _phi_float(i: float, upper: bool, p: ModelParams, c2: float) -> float:
+    """S_branch(I) - S_inf(I) at one float I, the bisection's objective.
+
+    Bit-identical to ``_s_branches`` minus ``_s_infection`` on a
+    one-element array (see the module docstring); ``upper`` picks S1.
+    """
+    r = p.b0 - p.d1
+    disc = r * r - 4.0 * p.b0 * c2 * i / p.k1
+    if disc < 0.0:  # guard roundoff at I = I_star
+        disc = 0.0
+    root = math.sqrt(disc)
+    s = p.k1 * (r + root) / (2.0 * p.b0) if upper else 2.0 * c2 * i / (r + root)
+    return s - _s_infection_float(i, p)
+
+
 def _assemble_state(i_root: float, branch: str, p: ModelParams, c2: float):
     """Build the full 4-vector at a located intersection.
 
@@ -238,20 +320,27 @@ def _assemble_state(i_root: float, branch: str, p: ModelParams, c2: float):
     R and B come from their exact closed forms; f1 then vanishes to the
     accuracy of the root itself.
     """
-    s = float(_s_infection(i_root, p))
+    s = _s_infection_float(i_root, p)
     r = p.gamma * i_root / (p.d3 + p.sigma)
-    b = float(_bacteria_of_i(i_root, p))
+    b = _bacteria_of_i_float(i_root, p)
     return np.array([s, i_root, r, b])
 
 
 def _scan_grid(i_star: float) -> np.ndarray:
+    """The sorted distinct positive points of both scans.
+
+    np.unique would import numpy.ma on its first call, about 9 ms of
+    every fresh process; a sort and a neighbour comparison keep the same
+    points.
+    """
     lo = i_star * 1e-12
-    grid = np.concatenate([
+    grid = np.sort(np.concatenate([
         np.geomspace(lo, i_star, _SCAN_POINTS),
         np.linspace(i_star / _SCAN_POINTS, i_star, _SCAN_POINTS),
-    ])
-    grid = np.unique(grid)
-    return grid[grid > 0.0]
+    ]))
+    keep = grid > 0.0
+    keep[1:] &= grid[1:] != grid[:-1]
+    return grid[keep]
 
 
 def _bisect(phi, lo: float, hi: float, flo: float) -> float:
@@ -296,10 +385,8 @@ def solve_endemic(p: ModelParams, diagnostics: bool = False):
     found = []  # (branch, i_root)
     for branch, phi_vals in (("S1", s_hi - s_inf), ("S2", s_lo - s_inf)):
 
-        def phi(i, _branch=branch):
-            hi, lo = _s_branches(i, p, c2)
-            val = hi if _branch == "S1" else lo
-            return float(val - _s_infection(i, p))
+        def phi(i, _upper=branch == "S1"):
+            return _phi_float(i, _upper, p, c2)
 
         exact = np.nonzero(phi_vals == 0.0)[0]
         for k in exact:

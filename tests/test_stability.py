@@ -720,3 +720,119 @@ def test_per_mode_is_built_once_from_the_arrays():
         assert [v.max_real for v in modes] == rep.max_real.tolist()
         assert all(type(v.max_real) is float and type(v.j) is int
                    and type(v.classification) is str for v in modes)
+
+
+# ---------------------------------------------------------------------------
+# The per-state fixed cost: shared spectrum arrays, sort, screened match
+# ---------------------------------------------------------------------------
+
+def test_spectrum_arrays_are_built_once_and_read_only():
+    spectrum = neumann_modes(Grid((2.0, 1.0), (16, 8)), 40)
+    lam, j = spectrum.lambdas(), spectrum.indices()
+    assert lam is spectrum.lambdas() and j is spectrum.indices()
+    assert lam.tolist() == [m.lam for m in spectrum.modes]
+    assert j.tolist() == [m.j for m in spectrum.modes]
+    assert not lam.flags.writeable and not j.flags.writeable
+    rep = classify_state(_states_by_tag(make_params())["Z1"], make_params(), DIFF, spectrum)
+    assert rep.lam is lam and rep.j is j
+
+
+def _lexsorted(eigs):
+    order = np.lexsort((-eigs.imag, -eigs.real), axis=-1)
+    return np.take_along_axis(eigs, order, axis=-1)
+
+
+def test_sorted_eigs_equals_a_stable_lexsort_bit_for_bit():
+    rng = np.random.default_rng(23)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.5])
+    # ties everywhere, zeros of both signs in both parts, real and complex rows
+    eigs = rng.choice(values, size=(500, 4)) + 1j * rng.choice(values, size=(500, 4))
+    real = rng.choice(values, size=(500, 4))
+    for x in (eigs, real, eigs[7], rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))):
+        got, expect = stability._sorted_eigs(x), _lexsorted(x)
+        assert got.dtype == expect.dtype
+        assert np.array_equal(np.signbit(got.real), np.signbit(expect.real))
+        assert np.array_equal(np.signbit(np.imag(got)), np.signbit(np.imag(expect)))
+        assert np.array_equal(got, expect)
+
+
+def test_jacobian_on_floats_equals_numpy_scalars():
+    rng = np.random.default_rng(29)
+    p = make_params()
+    for _ in range(50):
+        s, i, r, b = (np.float64(v) for v in rng.uniform(0.0, 8.0, size=4))
+        expect = np.array([
+            [p.b0 * (1.0 - 2.0 * s / p.k1) - p.beta1 * i - p.beta2 * (b / (b + p.k2)) - p.d1,
+             -p.beta1 * s, p.sigma, -p.beta2 * s * (p.k2 / (b + p.k2) ** 2)],
+            [p.beta1 * i + p.beta2 * (b / (b + p.k2)), p.beta1 * s - (p.d2 + p.gamma), 0.0,
+             p.beta2 * s * (p.k2 / (b + p.k2) ** 2)],
+            [0.0, p.gamma, -(p.d3 + p.sigma), 0.0],
+            [0.0, p.xi, 0.0, p.g0 * (1.0 - 2.0 * b / p.k3) - p.d4],
+        ])
+        assert np.array_equal(jacobian([s, i, r, b], p).matrix, expect)
+    for bad in ([-1.0, 0, 0, 0], [0, np.nan, 0, 0], [0, 0, np.inf, 0]):
+        with pytest.raises(ValueError, match="state must be finite and nonnegative"):
+            jacobian(bad, p)
+
+
+def test_crosscheck_matches_only_rows_the_in_order_distance_flags(monkeypatch):
+    # Closed-form rows handed back in another order are the same spectrum:
+    # the in-order distance flags them, the full match clears them, and
+    # only they reach _match_eigs. A flagged row that really deviates
+    # reports its best pairing, not its in-order distance.
+    p = make_params()
+    spectrum = _spectrum()
+    state = _states_by_tag(p)["Z2"]
+    original, match = stability._closed_form, stability._match_eigs
+    seen = []
+
+    def spy(a, b):
+        seen.append(len(a))
+        return match(a, b)
+
+    def reordered(*args, shift=0.0):
+        eigs, cubics, classes, verdicts, exact = original(*args)
+        eigs = eigs.copy()
+        eigs[[3, 7]] = eigs[[3, 7], ::-1]
+        eigs[7, 3] += shift
+        return eigs, cubics, classes, verdicts, exact
+
+    monkeypatch.setattr(stability, "_match_eigs", spy)
+    monkeypatch.setattr(stability, "_closed_form", reordered)
+    clean = classify_state(state, p, DIFF, spectrum)
+    assert seen == [2]
+    monkeypatch.setattr(stability, "_closed_form", original)
+    assert np.array_equal(classify_state(state, p, DIFF, spectrum).eigenvalues,
+                          clean.eigenvalues)
+    assert seen == [2]  # the untouched closed form needs no full match
+
+    monkeypatch.setattr(stability, "_closed_form",
+                        lambda *args: reordered(*args, shift=0.5))
+    eigs = clean.eigenvalues[7]
+    cf = eigs[::-1].copy()
+    cf[3] += 0.5
+    best = float(match(eigs, cf))
+    assert best < float(np.abs(eigs - cf).max())
+    with pytest.raises(ConsistencyError, match=re.escape(f"deviate from numeric ones by {best:.3e}")):
+        classify_state(state, p, DIFF, spectrum)
+
+
+def test_crosscheck_flags_a_deviation_just_past_the_allowance(monkeypatch):
+    p = make_params()
+    spectrum = _spectrum()
+    state = _states_by_tag(p)["Z1"]
+    m = mode_matrix(jacobian(state.value, p), DIFF, spectrum.lambdas())
+    allowance = stability.CROSSCHECK_RTOL * (1.0 + np.linalg.norm(m[5]))
+    original = stability._closed_form
+
+    def nudged(*args, factor):
+        eigs, cubics, classes, verdicts, exact = original(*args)
+        eigs = eigs.copy()
+        eigs[5, 0] += factor * allowance
+        return eigs, cubics, classes, verdicts, exact
+
+    monkeypatch.setattr(stability, "_closed_form", lambda *a: nudged(*a, factor=0.5))
+    classify_state(state, p, DIFF, spectrum)
+    monkeypatch.setattr(stability, "_closed_form", lambda *a: nudged(*a, factor=1.5))
+    with pytest.raises(ConsistencyError, match=r"^Z1 mode 5 .* deviate from numeric ones by "):
+        classify_state(state, p, DIFF, spectrum)

@@ -1,11 +1,17 @@
 """Constant equilibria: closed forms, the endemic branch solver, residuals."""
 
+import math
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from sirblab.model import reaction_rhs
+from sirblab import steady
+from sirblab.model import ModelParams, reaction_rhs
 from sirblab.steady import (
     EndemicBracketError,
+    SteadyState,
     all_steady_states,
     endemic_exists,
     residual,
@@ -13,7 +19,7 @@ from sirblab.steady import (
     trivial_states,
 )
 
-from common import make_params, random_admissible_params
+from common import REF, make_params, random_admissible_params
 
 # Endemic state of the baseline regime, frozen from a converged run and
 # verified below against the reaction residual.
@@ -185,3 +191,152 @@ def test_all_steady_states_tags_are_unique():
         tags = [z.tag for z in all_steady_states(p)]
         assert len(tags) == len(set(tags))
         assert tags[0] == "Z1"
+
+
+# ---------------------------------------------------------------------------
+# Steady states on floats
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", range(4))
+def test_make_rejects_non_finite_components(k, bad):
+    z = [0.0] * 4
+    z[k] = bad
+    if bad < 0.0:
+        match = "steady state Z4-branch-S1 has negative components"
+    else:
+        match = "steady state Z4-branch-S1 has non-finite components"
+    with pytest.raises(ValueError, match=match):
+        SteadyState.make("Z4-branch-S1", z, make_params())
+
+
+def test_make_rejects_a_non_finite_residual():
+    # finite components whose rates overflow: xi*I = +inf and the
+    # logistic B term = -inf, so f4 is nan while f1..f3 are not
+    p = make_params(xi=4.0)
+    z = [0.0, 1e308, 0.0, 1e300]
+    with np.errstate(all="ignore"):
+        assert math.isnan(residual(z, p))
+        assert math.isnan(reaction_rhs(np.array(z), p).max_abs())
+        with pytest.raises(ValueError, match="candidate Z4-branch-S1 is not steady: residual nan"):
+            SteadyState.make("Z4-branch-S1", z, p)
+
+
+def test_residual_equals_the_array_reaction_terms():
+    rng = np.random.default_rng(7)
+    p = make_params()
+    for _ in range(200):
+        z = rng.uniform(0.0, 10.0, size=4) * (rng.uniform(size=4) < 0.8)
+        assert residual(z, p) == reaction_rhs(z, p).max_abs()
+    with pytest.raises(ValueError, match="I must be nonnegative"):
+        residual([1.0, -1.0, 0.0, 0.0], p)
+
+
+# ---------------------------------------------------------------------------
+# The bisection objective on floats against the array branches
+# ---------------------------------------------------------------------------
+
+def _array_phi(i, upper, p, c2):
+    """S_branch - S_inf on a one-element array, as the scan computes it."""
+    arr = np.array([i])
+    s_hi, s_lo = steady._s_branches(arr, p, c2)
+    return float(((s_hi if upper else s_lo) - steady._s_infection(arr, p))[0])
+
+
+_RATE = hst.one_of(hst.floats(1e-3, 1e3), hst.sampled_from([5e-324, 1e-300, 1e300]))
+_LOSS = hst.one_of(hst.just(0.0), _RATE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates=hst.fixed_dictionaries({
+    "b0": _RATE, "k1": _RATE, "beta1": _RATE, "beta2": _RATE, "k2": _RATE,
+    "g0": _RATE, "k3": _RATE, "d1": _LOSS, "d2": _LOSS, "d3": _LOSS, "d4": _LOSS,
+    "sigma": _RATE, "gamma": _RATE, "xi": _RATE,
+}), fraction=hst.one_of(hst.floats(0.0, 1.0, exclude_min=True),
+                        hst.sampled_from([1.0, 1e-12, 0.5])))
+def test_float_phi_equals_the_array_branches(rates, fraction):
+    p = ModelParams(**rates)
+    with np.errstate(all="ignore"):
+        if not p.b0 > p.d1:
+            return
+        c2 = (p.d2 + p.gamma) - p.sigma * p.gamma / (p.d3 + p.sigma)
+        if not (c2 > 0.0 and math.isfinite(c2)):
+            return
+        try:
+            i_star = p.k1 * (p.b0 - p.d1) ** 2 / (4.0 * p.b0 * c2)
+        except (OverflowError, ZeroDivisionError):
+            return
+        i = i_star * fraction
+        if not (0.0 < i < math.inf):
+            return
+        arr = np.array([i])
+        for got, expect in (
+                (steady._bacteria_of_i_float(i, p), steady._bacteria_of_i(arr, p)[0]),
+                (steady._s_infection_float(i, p), steady._s_infection(arr, p)[0]),
+                (steady._phi_float(i, True, p, c2), _array_phi(i, True, p, c2)),
+                (steady._phi_float(i, False, p, c2), _array_phi(i, False, p, c2))):
+            assert type(got) is float
+            assert got.hex() == float(expect).hex()
+
+
+def test_degenerate_rates_divide_by_zero_as_the_array_form():
+    # beta1 = xi = 0 with g0 < d4 puts no bacteria and no infection
+    # pressure anywhere: S_inf = (d2 + gamma) I / 0 = inf on the whole
+    # scan, so no branch crosses it. ModelParams rejects zero rates, so a
+    # plain namespace carries them.
+    p = types.SimpleNamespace(**{**REF, "beta1": 0.0, "xi": 0.0, "g0": 1.0, "d4": 2.0})
+    c2 = steady._c2(p)
+    _, diag = endemic_exists(p, diagnostics=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in steady._scan_grid(diag.i_star)[::97].tolist():
+            for upper in (True, False):
+                assert steady._phi_float(i, upper, p, c2) == -math.inf
+                assert _array_phi(i, upper, p, c2) == -math.inf
+        # with d2 + gamma underflowing too, S_inf is 0 / 0 = nan
+        q = types.SimpleNamespace(**{**vars(p), "d2": 0.0, "gamma": 5e-324})
+        assert math.isnan(steady._s_infection_float(0.25, q))
+        assert math.isnan(steady._s_infection(np.array([0.25]), q)[0])
+        with pytest.raises(EndemicBracketError, match=(
+                r"^endemic existence threshold holds \(lhs 2.5 > rhs 2\) but no "
+                r"branch intersection was bracketed")):
+            solve_endemic(p)
+
+
+def test_float_bisection_roots_equal_the_array_bisection():
+    # the bisection with the array objective, as it ran before, on the
+    # random box: every root bit for bit
+    rng = np.random.default_rng(11)
+    compared = 0
+    for _ in range(40):
+        p = random_admissible_params(rng)
+        if not endemic_exists(p):
+            continue
+        _, diag = solve_endemic(p, diagnostics=True)
+        grid = steady._scan_grid(diag.i_star)
+        for branch, root in diag.intersections:
+            upper = branch == "S1"
+            vals = np.array([_array_phi(i, upper, p, diag.c2) for i in grid.tolist()])
+            flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)[0]
+            roots = [steady._bisect(lambda i: _array_phi(i, upper, p, diag.c2),
+                                    float(grid[k]), float(grid[k + 1]), float(vals[k]))
+                     for k in flips]
+            assert root in roots
+            compared += 1
+    assert compared > 10
+
+
+def test_scan_grid_keeps_the_distinct_positive_points():
+    # np.unique followed by the positivity filter is the reference; an
+    # infinite I_star makes NaN points, which neither keeps
+    def reference(i_star):
+        grid = np.unique(np.concatenate([
+            np.geomspace(i_star * 1e-12, i_star, steady._SCAN_POINTS),
+            np.linspace(i_star / steady._SCAN_POINTS, i_star, steady._SCAN_POINTS),
+        ]))
+        return grid[grid > 0.0]
+
+    rng = np.random.default_rng(13)
+    with np.errstate(all="ignore"):
+        for i_star in [*(10.0 ** rng.uniform(-300, 300, 200)), 1.0, 0.37, 1e308, math.inf]:
+            got, expect = steady._scan_grid(i_star), reference(i_star)
+            assert got.tolist() == expect.tolist()
