@@ -40,7 +40,7 @@ from .scenario import (
 )
 from .stability import ConsistencyError, classify_state
 from .steady import EndemicBracketError, endemic_exists, solve_endemic, trivial_states
-from .sweep import OUTPUT_COLUMNS, run_sweep
+from .sweep import run_sweep
 
 __all__ = ["main"]
 
@@ -68,7 +68,8 @@ def _meta(command: str, doc: dict, **extra) -> dict:
 
 def _collect_states(params):
     """All steady states plus endemic diagnostics; bracket failures become
-    a message instead of aborting the whole report."""
+    a message instead of aborting the whole report, and rates the endemic
+    reduction cannot take a ConfigError at ``params``."""
     states = list(trivial_states(params))
     endemic_error = None
     try:
@@ -77,6 +78,8 @@ def _collect_states(params):
     except EndemicBracketError as e:
         endemic_error = str(e)
         _, diag = endemic_exists(params, diagnostics=True)
+    except ValueError as e:
+        raise ConfigError("params", str(e)) from None
     return states, diag, endemic_error
 
 
@@ -182,14 +185,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--jobs", f"must be at least 1, got {args.jobs}")
     doc = load_json(args.config)
     base, axes, outputs, name = parse_sweep(doc)
-    if outputs is not None:
-        unknown = sorted(set(outputs) - set(OUTPUT_COLUMNS))
-        if unknown:
-            raise ConfigError("outputs",
-                              f"unknown outputs: {', '.join(unknown)}; "
-                              f"available: {', '.join(OUTPUT_COLUMNS)}")
     modes = analysis_mode_count(base, args.modes)
-    parse_grid(base)  # fail before spawning workers if the base grid is bad
+    # fail before spawning workers if the base grid or diffusion is bad
+    diffusion_matrix(parse_coefficients(base, parse_grid(base)))
     table_path = run_sweep(base, axes, outputs, modes, args.out, jobs=args.jobs)
     npoints = 1
     for _, values in axes:

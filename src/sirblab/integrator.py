@@ -34,8 +34,12 @@ that computes it, with one min and one max reduction over all four
 species. The sup-norms of that check stay with the state and set the
 next step's dt bound, so each state is reduced once.
 
-Snapshots land on the requested times: the driver also clips each step
-to the next pending snapshot time, as it clips the last step to t_end.
+One generator owns time: ``_drive`` yields the initial state and every
+accepted step's state, each with its dt and the number of snapshot times
+it lands on. It alone bounds dt, retries a step that fails positivity,
+clips each step to the next pending snapshot time and the last one to
+t_end, and ends the run; ``simulate`` and ``relax_to_steady`` are plain
+loops over it.
 """
 
 from __future__ import annotations
@@ -387,7 +391,8 @@ def _check_positivity(values: np.ndarray, time: float) -> list:
 
 @dataclass(frozen=True)
 class SolverPlan:
-    """The four implicit solves of one run, prepared once by ``_drive``.
+    """The four implicit solves of one run, prepared once by ``_drive``
+    before its first state and passed to every ``step`` of the run.
 
     ``species`` holds each diffusion coefficient as ``kernels`` prepared
     it: whether it is constant, the mean of a variable one, and the grid's
@@ -438,13 +443,14 @@ def step(state: StateField, dt: float, cfg: SimConfig,
     reaction terms are evaluated on the raw arrays: any negatives present
     are a few ulp deep and the rate formulas remain well defined there.
 
-    ``plan``, if given, is the run's ``SolverPlan`` (``_drive`` builds it
-    once per run); by default it is built from ``cfg``. The species are
-    solved in order, the stack of constant ones at its first species, as
-    one ``kernels.cg_solve`` call. If the stack misses CG_RTOL, it and
-    every species after it are solved again alone, in order, so the
-    CGError names the first species that stalls and the iterations its own
-    solve made.
+    ``_drive`` is the one caller in a run: it passes the run's
+    ``SolverPlan`` as ``plan`` and catches the PositivityError to halve
+    dt or end the run. Without ``plan`` the plan is built from ``cfg``.
+    The species are solved in order, the stack of constant ones at its
+    first species, as one ``kernels.cg_solve`` call. If the stack misses
+    CG_RTOL, it and every species after it are solved again alone, in
+    order, so the CGError names the first species that stalls and the
+    iterations its own solve made.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -484,48 +490,44 @@ def _reached(t: float, target: float) -> bool:
     return t >= target * (1.0 - 1e-12)
 
 
-def _drive(cfg: SimConfig, on_state, on_step=None):
-    """Shared time loop; calls on_state(prev, state) after each step.
+def _drive(cfg: SimConfig):
+    """The run's one time loop: yields (state, dt, hits) per state.
 
-    Steps are clipped to end on every snapshot time and on t_end.
-    on_state may return False to stop early.
+    The initial state comes first, with dt 0.0, then one item per
+    accepted step, with the dt that produced it. ``hits`` counts the
+    snapshot times the state lands on. Each step is clipped to the next
+    pending snapshot time and to t_end, and the run ends once t_end is
+    reached up to rounding. A step that fails positivity is retried at
+    half the dt in an adaptive run, down to ``_MIN_DT_FRACTION * t_end``;
+    a fixed-step run re-raises at once. A caller may stop iterating early.
     """
     state = cfg.build_initial()
     plan = _solver_plan(cfg)
     min_dt = _MIN_DT_FRACTION * cfg.t_end
     stops = sorted(cfg.snapshot_times)
-    if on_step is None:
-        on_step = lambda *_: None
-
-    on_state(None, state)
-    nsteps = 0
-    while state.t < cfg.t_end * (1.0 - 1e-14):
+    dt = 0.0
+    while True:
+        hits = 0
+        while stops and _reached(state.t, stops[0]):
+            stops.pop(0)
+            hits += 1
+        yield state, dt, hits
+        if state.t >= cfg.t_end * (1.0 - 1e-14):
+            return
         dt = stability_dt(state, cfg.params) if cfg.adaptive else cfg.dt
         if cfg.dt is not None:
             dt = min(dt, cfg.dt)
-        while stops and _reached(state.t, stops[0]):
-            stops.pop(0)
         if stops:
             dt = min(dt, stops[0] - state.t)
         dt = min(dt, cfg.t_end - state.t)
-        if cfg.adaptive:
-            while True:
-                try:
-                    new_state = step(state, dt, cfg, plan)
-                    break
-                except PositivityError:
-                    dt *= 0.5
-                    if dt < min_dt:
-                        raise
-        else:
-            new_state = step(state, dt, cfg, plan)
-        nsteps += 1
-        on_step(state, new_state, dt)
-        keep_going = on_state(state, new_state)
-        state = new_state
-        if keep_going is False:
-            break
-    return state, nsteps
+        while True:
+            try:
+                state = step(state, dt, cfg, plan)
+                break
+            except PositivityError:
+                if not cfg.adaptive or 0.5 * dt < min_dt:
+                    raise
+                dt *= 0.5
 
 
 def simulate(cfg: SimConfig) -> Trajectory:
@@ -533,12 +535,13 @@ def simulate(cfg: SimConfig) -> Trajectory:
 
     Samples: per-species sup and L1 norms, host mass (integral of
     S + I + R), and the projected amplitudes of the requested modes.
-    The first nonnegativity wobble (any negative cell, necessarily
-    within tolerance, otherwise the run aborts) and the first increase
-    of host mass while the damped regime d1 > b0, d4 > g0 holds are
-    flagged with their timestamps in ``violations``. Snapshots are taken
-    on the requested times, where the driver ends a step (a time of 0
-    takes the initial state).
+    The initial and the final state are always sampled. The first
+    nonnegativity wobble (any negative cell, necessarily within
+    tolerance, otherwise the run aborts) and the first increase of host
+    mass while the damped regime d1 > b0, d4 > g0 holds are flagged with
+    their timestamps in ``violations``. Snapshots are taken on the
+    requested times, where the driver ends a step (a time of 0 takes the
+    initial state).
     """
     traj = Trajectory(config=cfg)
     spectrum = None
@@ -548,8 +551,6 @@ def simulate(cfg: SimConfig) -> Trajectory:
     for j in cfg.record_modes:
         for s in SPECIES:
             traj.amplitudes[(s, j)] = []
-    pending_snapshots = sorted(cfg.snapshot_times)
-    counter = {"n": 0}
 
     def record(state: StateField) -> None:
         traj.times.append(state.t)
@@ -577,22 +578,14 @@ def simulate(cfg: SimConfig) -> Trajectory:
                     {"kind": "mass_increase", "time": state.t,
                      "value": mass, "previous": prev})
 
-    def on_state(prev, state):
-        while pending_snapshots and _reached(state.t, pending_snapshots[0]):
-            traj.snapshots.append((state.t, state.copy()))
-            pending_snapshots.pop(0)
-        if prev is None:
+    for n, (state, _, hits) in enumerate(_drive(cfg)):
+        traj.snapshots += [(state.t, state.copy()) for _ in range(hits)]
+        if n % cfg.record_every == 0:
             record(state)
-            return
-        counter["n"] += 1
-        if counter["n"] % cfg.record_every == 0 or state.t >= cfg.t_end * (1.0 - 1e-14):
-            record(state)
-
-    final, nsteps = _drive(cfg, on_state)
-    traj.steps = nsteps
-    traj.final = final
-    if traj.times[-1] != final.t:
-        record(final)
+    if n % cfg.record_every != 0:
+        record(state)
+    traj.steps = n
+    traj.final = state
     return traj
 
 
@@ -600,19 +593,15 @@ def relax_to_steady(cfg: SimConfig, tol: float) -> RelaxResult:
     """Integrate until the state stops moving or t_end arrives.
 
     The convergence measure is the max over species of the sup-norm
-    change per unit time across one step.
+    change per unit time across one step; the run stops at the first
+    step where it is at most tol.
     """
-    rate = {"value": math.inf}
-
-    def on_step(prev, state, dt):
-        diff = np.max(np.abs(state.values - prev.values))
-        rate["value"] = float(diff) / dt
-
-    def on_state(prev, state):
-        if prev is None:
-            return
-        if rate["value"] <= tol:
-            return False
-
-    final, _ = _drive(cfg, on_state, on_step)
-    return RelaxResult(final, rate["value"] <= tol, rate["value"])
+    states = _drive(cfg)
+    state, _, _ = next(states)
+    rate = math.inf
+    for new_state, dt, _ in states:
+        rate = float(np.max(np.abs(new_state.values - state.values))) / dt
+        state = new_state
+        if rate <= tol:
+            break
+    return RelaxResult(state, rate <= tol, rate)

@@ -43,7 +43,7 @@ from .integrator import (
 )
 from .model import ModelParams
 from .stability import DiffusionMatrix
-from .steady import all_steady_states
+from .steady import EndemicBracketError, all_steady_states
 
 __all__ = [
     "ConfigError",
@@ -221,7 +221,10 @@ def _resolve_base_state(spec: dict, params: ModelParams, path: str):
     if has_base:
         return _number_list(spec["base"], f"{path}.base", 4)
     tag = spec["state"]
-    states = all_steady_states(params)
+    try:
+        states = all_steady_states(params)
+    except (EndemicBracketError, ValueError) as e:
+        raise ConfigError(f"{path}.state", f"cannot resolve steady state {tag!r}: {e}") from None
     for st in states:
         if st.tag == tag:
             return [float(v) for v in st.value]

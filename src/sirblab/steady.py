@@ -213,7 +213,8 @@ def _c2(p: ModelParams) -> float:
     c2 = (p.d2 + p.gamma) - p.sigma * p.gamma / (p.d3 + p.sigma)
     if c2 <= 0.0:
         raise ValueError(
-            f"degenerate removal rates: (d2+gamma) - sigma*gamma/(d3+sigma) = {c2!r} <= 0"
+            f"degenerate removal rates d2={p.d2!r}, d3={p.d3!r}, sigma={p.sigma!r}, "
+            f"gamma={p.gamma!r}: (d2+gamma) - sigma*gamma/(d3+sigma) = {c2!r} <= 0"
         )
     return c2
 
@@ -222,7 +223,11 @@ def endemic_exists(p: ModelParams, diagnostics: bool = False):
     """Existence threshold for a positive steady state.
 
     Returns the boolean verdict, or (verdict, EndemicDiagnostics) when
-    diagnostics=True.
+    diagnostics=True. The diagnostics raise ValueError, naming the rates,
+    when c2 is not positive (``_c2``) or I_star is not a finite float:
+    extreme rates overflow the square (OverflowError on floats), make the
+    quotient inf or nan, or underflow its denominator to 0
+    (ZeroDivisionError).
     """
     lhs = p.k1 * (p.b0 - p.d1) / (2.0 * p.b0)
     rhs = (p.d2 + p.gamma) / p.beta2
@@ -233,7 +238,15 @@ def endemic_exists(p: ModelParams, diagnostics: bool = False):
     c2 = None
     if p.b0 > p.d1:
         c2 = _c2(p)
-        i_star = p.k1 * (p.b0 - p.d1) ** 2 / (4.0 * p.b0 * c2)
+        try:
+            i_star = p.k1 * (p.b0 - p.d1) ** 2 / (4.0 * p.b0 * c2)
+        except (OverflowError, ZeroDivisionError):
+            i_star = math.nan
+        if not math.isfinite(i_star):
+            raise ValueError(
+                f"rates out of floating-point range: I* = k1*(b0-d1)^2/(4*b0*c2) "
+                f"is not finite for k1={p.k1!r}, b0={p.b0!r}, d1={p.d1!r}, c2={c2!r}"
+            )
     diag = EndemicDiagnostics(lhs, rhs, exists, i_star, c2)
     return exists, diag
 

@@ -27,7 +27,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .grid import neumann_modes
-from .scenario import diffusion_matrix, parse_coefficients, parse_grid, parse_params
+from .scenario import (ConfigError, diffusion_matrix, parse_coefficients, parse_grid,
+                       parse_params)
 from .stability import classify_state
 from .steady import EndemicBracketError, endemic_exists, solve_endemic, trivial_states
 
@@ -135,8 +136,8 @@ def run_sweep(base: dict, axes, outputs, modes: int, out_dir: str,
         outputs = list(DEFAULT_OUTPUTS)
     unknown = sorted(set(outputs) - set(OUTPUT_COLUMNS))
     if unknown:
-        raise ValueError(f"unknown sweep outputs: {', '.join(unknown)}; "
-                         f"available: {', '.join(OUTPUT_COLUMNS)}")
+        raise ConfigError("outputs", f"unknown outputs: {', '.join(unknown)}; "
+                                     f"available: {', '.join(OUTPUT_COLUMNS)}")
     os.makedirs(out_dir, exist_ok=True)
 
     names = [name for name, _ in axes]

@@ -41,3 +41,27 @@ def test_bench_e2e_records_a_tiny_run(tmp_path):
     assert summary["wall_s"]["change"]["n"] == 1
     assert summary["kernels.cg_solves"]["change"]["median"] > 0
     assert summary["failed"] == {"change": 0}
+
+
+def test_every_traced_name_exists_and_is_restored():
+    # perfbench/tracing.py wraps module attributes by name; a renamed or
+    # removed one fails here, in the tier-1 suite
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def current():
+        return [tracing._owner(module, path) for module, path, _, _ in tracing.TARGETS]
+
+    originals = [owner.__dict__[attr] for owner, attr in current()]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = [getattr(owner, attr) for owner, attr in current()]
+        assert all(w is not o and w.__wrapped__ is o for w, o in zip(wrapped, originals))
+    finally:
+        tracer.restore()
+    assert [owner.__dict__[attr] for owner, attr in current()] == originals

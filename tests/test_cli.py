@@ -88,6 +88,19 @@ def test_steady_surfaces_bracket_failure_as_warning(tmp_path, capsys):
     assert "warning" in stderr
 
 
+@pytest.mark.parametrize("command", ["steady", "stability"])
+@pytest.mark.parametrize("rates,named", [({"d2": 0.0, "d3": 0.0}, "d2=0.0"),
+                                         ({"b0": 1e300, "d1": 0.0}, "b0=1e+300")],
+                         ids=["degenerate-removal", "overflow"])
+def test_rates_the_endemic_reduction_cannot_take_exit_2(tmp_path, capsys, command,
+                                                        rates, named):
+    cfg = write_json(tmp_path, "cfg.json", scenario_doc(params=rates))
+    rc, stdout, stderr = run_cli(capsys, command, "--config", cfg)
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("config error: params: ") and named in stderr
+
+
 # ---------------------------------------------------------------------------
 # stability
 # ---------------------------------------------------------------------------
@@ -217,6 +230,18 @@ def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys):
     assert "params" in stderr and "beta1" in stderr
 
 
+def test_simulate_from_an_unresolvable_state_tag_exits_2(tmp_path, capsys):
+    doc = scenario_doc(params={"beta2": 2.0})  # the endemic bracket fails
+    doc["initial"] = {"kind": "mode", "state": "Z4-branch-S2", "epsilon": 0.01, "mode": 1}
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    out = tmp_path / "o"
+    rc, stdout, stderr = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert "initial.state" in stderr
+    assert not out.exists()
+
+
 def test_simulate_rejects_an_oversized_grid_before_allocating(tmp_path, capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("allocated grid-sized data before the grid was bounded")
@@ -329,6 +354,23 @@ def test_sweep_unknown_output_exits_2(tmp_path, capsys):
                             "--out", str(tmp_path / "o"))
     assert rc == 2
     assert "bogus" in stderr
+
+
+def test_sweep_on_variable_diffusion_exits_2_like_stability(tmp_path, capsys):
+    doc = sweep_doc([{"param": "beta2", "values": [0.4, 0.5]}], None)
+    doc["base"]["coefficients"]["a1"] = {"kind": "profile", "profile": "cosine",
+                                         "base": 0.1, "amplitude": 0.05}
+    cfg = write_json(tmp_path, "sweep.json", doc)
+    out = tmp_path / "o"
+    rc, _, stderr = run_cli(capsys, "sweep", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert "coefficients" in stderr and "constant diffusion" in stderr
+    assert not out.exists()
+
+    base = write_json(tmp_path, "base.json", doc["base"])
+    rc, _, stability_stderr = run_cli(capsys, "stability", "--config", base)
+    assert rc == 2
+    assert stability_stderr == stderr
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -242,6 +242,27 @@ def test_fixed_oversized_step_aborts_run():
         simulate(cfg)
 
 
+def _count_steps(monkeypatch):
+    calls = []
+    original = integrator.step
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "step", counting)
+    return calls
+
+
+def test_fixed_step_positivity_failure_is_not_retried(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    cfg = _cfg(make_params(), ConstantInit((0.5, 2.0, 0.2, 1.0)), t_end=10.0,
+               dt=2.0, adaptive=False)
+    with pytest.raises(PositivityError):
+        simulate(cfg)
+    assert calls == [2.0]
+
+
 # ---------------------------------------------------------------------------
 # Relaxation to steady states
 # ---------------------------------------------------------------------------
@@ -262,6 +283,17 @@ def test_relax_detects_exact_equilibrium_immediately():
                           tol=1e-6)
     assert res.converged
     assert res.state.t < 1.0  # no need to integrate the full window
+
+
+def test_relax_from_an_exact_equilibrium_makes_one_step(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    p = make_params()
+    z2 = trivial_states(p)[1]
+    assert z2.tag == "Z2" and z2.residual == 0.0
+    res = relax_to_steady(_cfg(p, ConstantInit(tuple(z2.value)), t_end=50.0), tol=0.0)
+    assert res.converged and res.rate == 0.0
+    assert len(calls) == 1
+    assert res.state.t == calls[0]
 
 
 def test_relax_reports_failure_near_unstable_state():

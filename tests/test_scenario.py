@@ -202,6 +202,21 @@ def test_mode_initial_resolves_state_tags():
         parse_initial(doc, p)
 
 
+@pytest.mark.parametrize("rates", [{"beta2": 2.0}, {"d2": 0.0, "d3": 0.0}],
+                         ids=["bracket-failure", "degenerate-removal"])
+def test_unresolvable_state_tag_names_initial_state(rates):
+    # the steady states behind a tag cannot be computed for these rates:
+    # a ConfigError at initial.state, not the solver's exception
+    doc = scenario_doc()
+    doc["params"].update(rates)
+    doc["initial"] = {"kind": "mode", "state": "Z4-branch-S2",
+                      "epsilon": 0.01, "mode": 1}
+    with pytest.raises(ConfigError) as e:
+        build_sim_config(doc)
+    assert err_path(e) == "initial.state"
+    assert "Z4-branch-S2" in str(e.value)
+
+
 def test_initial_base_must_have_four_entries():
     doc = scenario_doc()
     p = parse_params(doc)

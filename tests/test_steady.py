@@ -94,6 +94,20 @@ def test_existence_diagnostics_interval():
     assert diag.i_star > 0.0
 
 
+@pytest.mark.parametrize("rates,named", [
+    (dict(b0=1e300, d1=0.0), "b0=1e+300"),                        # (b0-d1)**2 overflows
+    (dict(b0=1e-200, d1=0.0, d2=0.0, gamma=1e-200), "b0=1e-200"),  # 4*b0*c2 underflows
+    (dict(k1=1e308, b0=11.0, d1=1.0), "k1=1e+308"),               # I* = inf
+    (dict(d2=0.0, d3=0.0), "d2=0.0, d3=0.0"),                     # c2 = 0
+], ids=["overflow", "underflow", "infinite", "degenerate"])
+def test_diagnostics_name_rates_out_of_range(rates, named):
+    p = make_params(**rates)
+    assert isinstance(endemic_exists(p), bool)  # the verdict alone still forms
+    with pytest.raises(ValueError) as e:
+        endemic_exists(p, diagnostics=True)
+    assert type(e.value) is ValueError and named in str(e.value)
+
+
 # ---------------------------------------------------------------------------
 # Endemic solver
 # ---------------------------------------------------------------------------

@@ -67,6 +67,17 @@ def test_point_solver_failure_is_in_row_data():
     assert record["Z1.exists"] is True and record["Z1.overall"] == "unstable"
 
 
+def test_rates_out_of_float_range_record_the_named_error(tmp_path):
+    base = base_doc()
+    base["params"]["d1"] = 0.0
+    run_sweep(base, [("b0", [2.0, 1e300])], ["endemic_exists"], 32, str(tmp_path))
+    ok, bad = (json.loads((tmp_path / f"point_{k:05d}.json").read_text())["record"]
+               for k in range(2))
+    assert ok["error"] == ""
+    assert bad["error"].startswith("ValueError: rates out of floating-point range")
+    assert "b0=1e+300" in bad["error"]
+
+
 def test_point_builds_no_per_mode_objects(monkeypatch):
     expected = evaluate_point(point_doc())
 
