@@ -83,6 +83,20 @@ def _collect_states(params):
     return states, diag, endemic_error
 
 
+def _report(payload: dict, endemic_error, out_dir, name: str) -> int:
+    """Print a steady/stability payload, warning of an endemic bracket
+    failure, and also write it to out_dir/name when out_dir is given."""
+    if endemic_error is not None:
+        payload["endemic_error"] = endemic_error
+        print(f"warning: {endemic_error}", file=sys.stderr)
+    text = _json_text(payload)
+    sys.stdout.write(text)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        _write(os.path.join(out_dir, name), text)
+    return 0
+
+
 def cmd_steady(args) -> int:
     doc = load_json(args.config)
     params = parse_params(doc)
@@ -92,15 +106,7 @@ def cmd_steady(args) -> int:
         "endemic": diag.to_dict(),
         "states": [st.to_dict() for st in states],
     }
-    if endemic_error is not None:
-        payload["endemic_error"] = endemic_error
-        print(f"warning: {endemic_error}", file=sys.stderr)
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write(os.path.join(args.out, "steady.json"), text)
-    return 0
+    return _report(payload, endemic_error, args.out, "steady.json")
 
 
 def cmd_stability(args) -> int:
@@ -122,15 +128,7 @@ def cmd_stability(args) -> int:
         "endemic": diag.to_dict(),
         "reports": [r.to_dict() for r in reports],
     }
-    if endemic_error is not None:
-        payload["endemic_error"] = endemic_error
-        print(f"warning: {endemic_error}", file=sys.stderr)
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write(os.path.join(args.out, "stability.json"), text)
-    return 0
+    return _report(payload, endemic_error, args.out, "stability.json")
 
 
 def cmd_simulate(args) -> int:
@@ -186,8 +184,6 @@ def cmd_sweep(args) -> int:
     doc = load_json(args.config)
     base, axes, outputs, name = parse_sweep(doc)
     modes = analysis_mode_count(base, args.modes)
-    # fail before spawning workers if the base grid or diffusion is bad
-    diffusion_matrix(parse_coefficients(base, parse_grid(base)))
     table_path = run_sweep(base, axes, outputs, modes, args.out, jobs=args.jobs)
     npoints = 1
     for _, values in axes:

@@ -29,7 +29,6 @@ they carry a cell index and a time stamp, not silently here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, asdict
 
 import numpy as np
@@ -114,13 +113,6 @@ class ModelParams:
         if missing:
             raise ValueError(f"missing parameter keys: {', '.join(missing)}")
         return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass

@@ -144,17 +144,18 @@ def _number_list(value, path: str, length: int | None = None) -> list:
             enumerate(_as_list(value, path, length))]
 
 
-def parse_params(doc: dict, path: str = "params") -> ModelParams:
-    data = _as_dict(_require(doc, "params", ""), path)
+def parse_params(doc: dict) -> ModelParams:
+    data = _as_dict(_require(doc, "params", ""), "params")
     for key, value in data.items():
-        _as_number(value, f"{path}.{key}")
+        _as_number(value, f"params.{key}")
     try:
         return ModelParams.from_dict(data)
     except ValueError as e:
-        raise ConfigError(path, str(e)) from None
+        raise ConfigError("params", str(e)) from None
 
 
-def parse_grid(doc: dict, path: str = "grid") -> Grid:
+def parse_grid(doc: dict) -> Grid:
+    path = "grid"
     data = _as_dict(_require(doc, "grid", ""), path)
     extra = sorted(set(data) - {"lengths", "cells"})
     if extra:
@@ -179,30 +180,38 @@ def parse_grid(doc: dict, path: str = "grid") -> Grid:
 
 
 def _parse_one_coefficient(spec, grid: Grid, path: str) -> CoefficientField:
+    """One coefficient; equal samples on every cell make it a constant.
+
+    That is the solver's test (``kernels.prepare_coefficient``), so a
+    flat ``cells`` list or a profile of amplitude 0 gets the mode analysis
+    as well as the constant-coefficient solve.
+    """
     spec = _as_dict(spec, path)
     kind = _require(spec, "kind", path)
+    if kind not in ("constant", "cells", "profile"):
+        raise ConfigError(f"{path}.kind", f"unknown coefficient kind {kind!r}; "
+                                          "expected constant, cells, or profile")
     try:
         if kind == "constant":
             return CoefficientField.constant(_as_number(_require(spec, "value", path),
                                                         f"{path}.value"))
         if kind == "cells":
             values = _number_list(_require(spec, "values", path), f"{path}.values")
-            return CoefficientField.from_cells(grid, np.asarray(values))
-        if kind == "profile":
+            c = CoefficientField.from_cells(grid, np.asarray(values))
+        else:
             name = _require(spec, "profile", path)
             args = {k: v for k, v in spec.items() if k not in ("kind", "profile")}
             c = CoefficientField.from_profile(name, **args)
-            c.materialize(grid)  # surfaces positivity violations now
-            return c
+        lo, hi = c.bounds(grid)  # surfaces positivity violations now
     except ConfigError:
         raise
     except ValueError as e:
         raise ConfigError(path, str(e)) from None
-    raise ConfigError(f"{path}.kind",
-                      f"unknown coefficient kind {kind!r}; expected constant, cells, or profile")
+    return CoefficientField.constant(lo) if lo == hi else c
 
 
-def parse_coefficients(doc: dict, grid: Grid, path: str = "coefficients") -> tuple:
+def parse_coefficients(doc: dict, grid: Grid) -> tuple:
+    path = "coefficients"
     data = _as_dict(_require(doc, "coefficients", ""), path)
     extra = sorted(set(data) - set(_COEFF_KEYS))
     if extra:
@@ -233,8 +242,8 @@ def _resolve_base_state(spec: dict, params: ModelParams, path: str):
                       f"no steady state tagged {tag!r} for these parameters (found: {known})")
 
 
-def parse_initial(doc: dict, params: ModelParams, path: str = "initial",
-                  seed_override: int | None = None):
+def parse_initial(doc: dict, params: ModelParams, seed_override: int | None = None):
+    path = "initial"
     spec = _as_dict(_require(doc, "initial", ""), path)
     kind = _require(spec, "kind", path)
     if kind == "constant":
@@ -348,11 +357,11 @@ def analysis_mode_count(doc: dict, override: int | None = None) -> int:
     return count
 
 
-def diffusion_matrix(coeffs, path: str = "coefficients") -> DiffusionMatrix:
+def diffusion_matrix(coeffs) -> DiffusionMatrix:
     try:
         return DiffusionMatrix.from_coefficients(coeffs)
     except ValueError as e:
-        raise ConfigError(path, str(e)) from None
+        raise ConfigError("coefficients", str(e)) from None
 
 
 # ---------------------------------------------------------------------------

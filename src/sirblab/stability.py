@@ -71,7 +71,7 @@ import numpy as np
 
 from .grid import ModeSpectrum
 from .model import ModelParams
-from .steady import SteadyState
+from .steady import SteadyState, residual
 
 __all__ = [
     "DiffusionMatrix",
@@ -230,9 +230,6 @@ class CubicCoeffs:
     p: float
     q: float
     h: float
-
-    def roots(self) -> np.ndarray:
-        return np.roots([1.0, self.p, self.q, self.h])
 
     def to_dict(self) -> dict:
         return {"p": self.p, "q": self.q, "h": self.h}
@@ -617,8 +614,7 @@ def classify_state(state, p: ModelParams, diff: DiffusionMatrix,
         st = state
     else:
         arr = np.asarray(state, dtype=float).reshape(4)
-        from .steady import residual as _residual
-        st = SteadyState("numeric", arr, _residual(arr, p))
+        st = SteadyState("numeric", arr, residual(arr, p))
     lam = spectrum.lambdas()
     if len(lam) < 1 or lam[0] != 0.0:
         raise ValueError("mode spectrum must start with the constant mode lambda=0")

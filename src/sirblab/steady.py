@@ -223,13 +223,20 @@ def endemic_exists(p: ModelParams, diagnostics: bool = False):
     """Existence threshold for a positive steady state.
 
     Returns the boolean verdict, or (verdict, EndemicDiagnostics) when
-    diagnostics=True. The diagnostics raise ValueError, naming the rates,
-    when c2 is not positive (``_c2``) or I_star is not a finite float:
-    extreme rates overflow the square (OverflowError on floats), make the
-    quotient inf or nan, or underflow its denominator to 0
-    (ZeroDivisionError).
+    diagnostics=True. Both raise ValueError, naming the rates, when
+    b0 > d1 and 2*b0 overflows: the quotient would read 0 (or nan) and the
+    verdict a silent False. The diagnostics also raise when c2 is not
+    positive (``_c2``) or I_star is not a finite float: extreme rates
+    overflow the square (OverflowError on floats), make the quotient inf
+    or nan, or underflow its denominator to 0 (ZeroDivisionError).
     """
-    lhs = p.k1 * (p.b0 - p.d1) / (2.0 * p.b0)
+    twice_b0 = 2.0 * p.b0
+    if p.b0 > p.d1 and not math.isfinite(twice_b0):
+        raise ValueError(
+            f"rates out of floating-point range: 2*b0 in k1*(b0-d1)/(2*b0) "
+            f"is not finite for k1={p.k1!r}, b0={p.b0!r}, d1={p.d1!r}"
+        )
+    lhs = p.k1 * (p.b0 - p.d1) / twice_b0
     rhs = (p.d2 + p.gamma) / p.beta2
     exists = lhs > rhs
     if not diagnostics:

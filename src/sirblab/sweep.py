@@ -1,6 +1,6 @@
 """Parameter sweeps over the steady-state / stability analysis.
 
-Each sweep point re-runs the full pipeline for one parameter combination:
+Each sweep point re-runs the analysis for one parameter combination:
 find every constant steady state, classify each against the diffusion
 spectrum, and flatten the results into one scalar record.  Records use a
 fixed column registry so rows from different points always align.
@@ -11,9 +11,12 @@ Turing-flagged, and ``Z4.overall``/``Z4.max_real0`` taken from the state
 with the largest infected component.  Points whose evaluation raises are
 recorded in-row through the ``error`` column; the sweep itself carries on.
 
-Axes move model parameters only, so ``run_sweep`` builds the mode spectrum
-once and hands it to every point. Workers receive plain JSON-style dicts
-and that spectrum, so the parallel path (one process per ``--jobs``)
+Axes move model parameters only, so ``run_sweep`` parses the base's grid
+and coefficients once, into one DiffusionMatrix and one mode spectrum,
+before any point runs or any file exists: a bad base raises ConfigError
+naming the field. Each point is then just ``{"params": ...}``; a bad rate
+stays an error in its row. Workers receive those dicts plus the shared
+matrix and spectrum, so the parallel path (one process per ``--jobs``)
 evaluates exactly what the serial path does and the output files are
 byte-identical either way.
 """
@@ -57,22 +60,17 @@ def _blank_record() -> dict:
     return record
 
 
-def evaluate_point(point_doc: dict, spectrum=None) -> dict:
+def evaluate_point(point_doc: dict, diff, spectrum) -> dict:
     """Run steady states + stability for one parameter set.
 
-    point_doc holds 'params', 'grid', 'coefficients', and 'modes'; any
-    exception is captured into the record's 'error' field. ``spectrum``
-    is the point's ``neumann_modes(grid, modes)`` when the caller has
-    already built it; None builds it here.
+    point_doc holds the point's 'params'; ``diff`` and ``spectrum`` are the
+    sweep's DiffusionMatrix and ``neumann_modes(grid, modes)``, which every
+    point shares. Any exception is captured into the record's 'error'
+    field.
     """
     record = _blank_record()
     try:
         params = parse_params(point_doc)
-        grid = parse_grid(point_doc)
-        coeffs = parse_coefficients(point_doc, grid)
-        diff = diffusion_matrix(coeffs)
-        if spectrum is None:
-            spectrum = neumann_modes(grid, point_doc["modes"])
 
         exists, diag = endemic_exists(params, diagnostics=True)
         record["endemic_exists"] = exists
@@ -127,11 +125,16 @@ def run_sweep(base: dict, axes, outputs, modes: int, out_dir: str,
               jobs: int = 1, on_row=None) -> str:
     """Evaluate every axis combination; returns the path of the sweep table.
 
-    Evaluates every point first, then writes point_NNNNN.json per point
-    and the combined sweep.csv in one atomic rename.  jobs > 1 distributes
-    points across min(jobs, points, CPUs) processes; row order is always
-    the lexicographic axis order.
+    Parses the base's grid and coefficients and builds the spectrum first,
+    so a bad base raises ConfigError naming the field before out_dir or
+    any worker exists. Evaluates every point next, then writes
+    point_NNNNN.json per point and the combined sweep.csv in one atomic
+    rename.  jobs > 1 distributes points across min(jobs, points, CPUs)
+    processes; row order is always the lexicographic axis order.
     """
+    grid = parse_grid(base)
+    diff = diffusion_matrix(parse_coefficients(base, grid))
+    spectrum = neumann_modes(grid, modes)
     if outputs is None:
         outputs = list(DEFAULT_OUTPUTS)
     unknown = sorted(set(outputs) - set(OUTPUT_COLUMNS))
@@ -142,25 +145,9 @@ def run_sweep(base: dict, axes, outputs, modes: int, out_dir: str,
 
     names = [name for name, _ in axes]
     combos = list(itertools.product(*(values for _, values in axes)))
-    points = []
-    for combo in combos:
-        params = dict(base["params"])
-        params.update(dict(zip(names, combo)))
-        points.append({
-            "params": params,
-            "grid": base["grid"],
-            "coefficients": base["coefficients"],
-            "modes": modes,
-        })
-
-    # Axes move model parameters only, so every point shares one grid and
-    # one spectrum. If it cannot be built, each point builds it again and
-    # records the error in its row.
-    try:
-        spectrum = neumann_modes(parse_grid(base), modes)
-    except Exception:
-        spectrum = None
-    evaluate = functools.partial(evaluate_point, spectrum=spectrum)
+    points = [{"params": {**base["params"], **dict(zip(names, combo))}}
+              for combo in combos]
+    evaluate = functools.partial(evaluate_point, diff=diff, spectrum=spectrum)
 
     workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers > 1:

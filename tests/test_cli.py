@@ -140,6 +140,26 @@ def test_stability_of_endemic_1d_passes_its_crosscheck_at_256_modes(capsys):
     assert len(reports["Z3"]["per_mode"]) == 256
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "cells", "values": [0.05] * 64},
+    {"kind": "profile", "profile": "cosine", "base": 0.05, "amplitude": 0.0},
+], ids=["cells", "flat-profile"])
+def test_constant_coefficient_of_any_kind_is_analysed(tmp_path, capsys, spec):
+    shipped = SCENARIOS / "endemic_1d.json"
+    doc = json.loads(shipped.read_text())
+    doc["coefficients"]["a1"] = spec
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    rc, stdout, stderr = run_cli(capsys, "stability", "--config", cfg)
+    assert rc == 0, stderr
+    assert stdout == run_cli(capsys, "stability", "--config", str(shipped))[1]
+
+    sweep = write_json(tmp_path, "sweep.json",
+                       {"base": doc, "axes": [{"param": "beta2", "values": [0.4, 0.5]}]})
+    rc, _, stderr = run_cli(capsys, "sweep", "--config", sweep,
+                            "--out", str(tmp_path / "o"))
+    assert rc == 0, stderr
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -239,6 +259,20 @@ def test_simulate_from_an_unresolvable_state_tag_exits_2(tmp_path, capsys):
     assert rc == 2
     assert stdout == ""
     assert "initial.state" in stderr
+    assert not out.exists()
+
+
+def test_simulate_from_a_state_tag_at_overflowing_rates_names_the_range(tmp_path, capsys):
+    # 2*b0 overflows: the endemic gate must not answer "no endemic state"
+    doc = scenario_doc(params={"b0": 1e308, "d1": 0.0, "k1": 1.7, "beta2": 5.0})
+    doc["initial"] = {"kind": "mode", "state": "Z4-branch-S2", "epsilon": 0.01, "mode": 1}
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    out = tmp_path / "o"
+    rc, stdout, stderr = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert "initial.state" in stderr and "rates out of floating-point range" in stderr
+    assert "no steady state tagged" not in stderr
     assert not out.exists()
 
 

@@ -159,6 +159,21 @@ def test_coefficient_profile_and_cells_kinds():
     assert err_path(e) == "coefficients.a1"
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "cells", "values": [0.05] * 32},
+    {"kind": "profile", "profile": "cosine", "base": 0.05, "amplitude": 0.0},
+    {"kind": "profile", "profile": "gaussian", "base": 0.05, "amplitude": 0.0},
+], ids=["cells", "flat-cosine", "flat-gaussian"])
+def test_coefficient_equal_on_every_cell_is_constant(spec):
+    # the solver's test (kernels.prepare_coefficient): min == max on the grid
+    doc = scenario_doc()
+    grid = parse_grid(doc)
+    doc["coefficients"]["a1"] = spec
+    coeffs = parse_coefficients(doc, grid)
+    assert coeffs[0].kind == "constant" and coeffs[0].value == 0.05
+    assert diffusion_matrix(coeffs).as_array().tolist() == [0.05, 0.05, 0.05, 0.01]
+
+
 def test_initial_section_kinds():
     doc = scenario_doc()
     p = parse_params(doc)

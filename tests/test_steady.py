@@ -108,6 +108,18 @@ def test_diagnostics_name_rates_out_of_range(rates, named):
     assert type(e.value) is ValueError and named in str(e.value)
 
 
+def test_endemic_gate_raises_when_twice_b0_overflows():
+    # true lhs k1/2 = 0.85 > rhs (d2+gamma)/beta2 = 0.2, but 2*b0 = inf
+    # turns the quotient into 0 and the verdict into a silent False
+    p = make_params(b0=1e308, d1=0.0, k1=1.7, beta2=5.0)
+    for diagnostics in (False, True):
+        with pytest.raises(ValueError, match="rates out of floating-point range") as e:
+            endemic_exists(p, diagnostics=diagnostics)
+        assert type(e.value) is ValueError and "b0=1e+308" in str(e.value)
+    with pytest.raises(ValueError, match="rates out of floating-point range"):
+        all_steady_states(p)
+
+
 # ---------------------------------------------------------------------------
 # Endemic solver
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ import os
 import pytest
 
 from sirblab import stability, sweep
+from sirblab.grid import Grid, neumann_modes
+from sirblab.scenario import ConfigError
+from sirblab.stability import DiffusionMatrix
 from sirblab.sweep import (
     DEFAULT_OUTPUTS,
     OUTPUT_COLUMNS,
@@ -24,6 +27,10 @@ COEFFS = {
     "a4": {"kind": "constant", "value": 0.01},
 }
 
+# the sweep's diffusion matrix and spectrum for GRID, COEFFS and 32 modes
+DIFF = DiffusionMatrix(0.05, 0.05, 0.05, 0.01)
+SPECTRUM = neumann_modes(Grid((2.0,), (16,)), 32)
+
 
 def point_doc(**param_overrides):
     params = dict(REF)
@@ -40,7 +47,7 @@ def base_doc():
 # ---------------------------------------------------------------------------
 
 def test_point_record_covers_every_column():
-    record = evaluate_point(point_doc())
+    record = evaluate_point(point_doc(), DIFF, SPECTRUM)
     assert set(record) == set(OUTPUT_COLUMNS) | {"error"}
     assert record["error"] == ""
 
@@ -58,7 +65,7 @@ def test_point_record_covers_every_column():
 def test_point_solver_failure_is_in_row_data():
     # Steep transmission makes the endemic bracket fail while the
     # existence condition still holds; the row keeps the trivial states.
-    record = evaluate_point(point_doc(beta2=2.0))
+    record = evaluate_point(point_doc(beta2=2.0), DIFF, SPECTRUM)
     assert record["endemic_exists"] is True
     assert record["Z4.exists"] is False
     assert record["Z4.count"] == 0
@@ -79,19 +86,19 @@ def test_rates_out_of_float_range_record_the_named_error(tmp_path):
 
 
 def test_point_builds_no_per_mode_objects(monkeypatch):
-    expected = evaluate_point(point_doc())
+    expected = evaluate_point(point_doc(), DIFF, SPECTRUM)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sweep point built a ModeVerdict")
 
     monkeypatch.setattr(stability, "ModeVerdict", refuse)
-    record = evaluate_point(point_doc())
+    record = evaluate_point(point_doc(), DIFF, SPECTRUM)
     assert record["error"] == ""
     assert record == expected
 
 
 def test_point_config_failure_is_in_row_data():
-    record = evaluate_point(point_doc(beta1=-0.3))
+    record = evaluate_point(point_doc(beta1=-0.3), DIFF, SPECTRUM)
     assert record["error"].startswith("ConfigError")
     assert "beta1" in record["error"]
     assert record["endemic_exists"] is None
@@ -233,18 +240,16 @@ def test_spectrum_is_built_once_per_sweep(tmp_path, monkeypatch):
     for index, (b2, d4) in enumerate([(b2, d4) for b2 in (0.4, 0.5, 2.0)
                                       for d4 in (0.9, 1.1)]):
         payload = json.loads((tmp_path / f"point_{index:05d}.json").read_text())
-        assert payload["record"] == evaluate_point(point_doc(beta2=b2, d4=d4))
+        assert payload["record"] == evaluate_point(point_doc(beta2=b2, d4=d4), DIFF, SPECTRUM)
 
 
-def test_grid_error_is_recorded_in_every_row(tmp_path):
+def test_bad_base_grid_raises_before_any_output(tmp_path):
     base = base_doc()
     base["grid"] = {"lengths": [2.0], "cells": [0]}
-    path = run_sweep(base, [("beta2", [0.4, 0.5])], ["endemic_exists"], 32,
-                     str(tmp_path))
-    lines = open(path).read().splitlines()
-    assert len(lines) == 3
-    want = evaluate_point({**point_doc(beta2=0.4), "grid": base["grid"]})["error"]
-    assert want.startswith("ConfigError")
-    for index in range(2):
-        payload = json.loads((tmp_path / f"point_{index:05d}.json").read_text())
-        assert payload["record"]["error"] == want
+    out = tmp_path / "o"
+    # the base is checked before the outputs, so the grid field is named
+    for outputs in (["endemic_exists"], ["Z9.exists"]):
+        with pytest.raises(ConfigError) as e:
+            run_sweep(base, [("beta2", [0.4, 0.5])], outputs, 32, str(out))
+        assert e.value.path == "grid.cells[0]"
+    assert not out.exists()
