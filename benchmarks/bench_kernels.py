@@ -3,9 +3,12 @@
 Implicit solve, kernels.cg_solve.
 
 Solves (I - dt*D) x = b once per repeat on each grid, with a constant
-coefficient (the preconditioner is then the exact inverse) and with a
+coefficient (the preconditioner is then the exact inverse), with a
 cosine profile varying by a factor of 3 (the case the preconditioner
-only approximates); then four constant coefficients on the same grid,
+only approximates) passed as a raw field, and with that profile prepared
+as smooth, as the integrator prepares every ``profile`` coefficient (the
+preconditioner scaled by (a/mean)^(-1/4) on both sides); then four
+constant coefficients on the same grid,
 as one stacked call and as four calls with the coefficients prepared.
 Prints the median time per solve (per four solves for the last two
 rows), the CG iterations and the final relative residual (one core,
@@ -20,13 +23,17 @@ BLAS pinned to one thread)::
     64x64     4 apart        599.8 us
     96x96     constant       331.5 us      1   5.8e-14
     96x96     variable        7.33 ms     24   3.5e-14
+    96x96     smooth          4.24 ms     16   4.3e-14
     96x96     4 stacked       1.93 ms      2   5.8e-14
     96x96     4 apart         1.59 ms
     256x256   constant        9.55 ms      2   1.6e-26
     256x256   4 stacked      39.31 ms      2   3.2e-26
     256x256   4 apart        33.43 ms
 
-A constant coefficient starts from the exact spectral solve: one
+(The smooth row is from a later run, in which the variable row read
+5.82 ms; a second run gave 5.92 against 4.72 ms. The scaling costs two
+elementwise products per iteration and saves a third of the
+iterations.) A constant coefficient starts from the exact spectral solve: one
 transform pair and one stencil application. At 256x256 that leaves a
 rounding residual of about cond * eps, above the 1e-13 target, and a
 second iteration removes it. On 64 cells four solves cost little more
@@ -86,7 +93,9 @@ check of a state and of its sup-norms::
 from run to run on this VM). With one cg_solve call per species and
 step, each testing its coefficient for constancy and building its
 preconditioner, back-to-back runs gave 211.0 us and 28.42 ms for the
-first two steps.
+first two steps. With the cosine and gaussian profiles prepared as
+smooth, two runs gave 21.21 and 16.22 ms for the hetero step, and a
+run right after them with every profile unscaled gave 28.18 ms.
 
 Run as ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``; --grids
 takes grid shapes such as ``64 64x64 96x96 256x256``.
@@ -211,13 +220,14 @@ def main():
     print(f"{'grid':9s} {'coefficient':11s} {'time':>11s} {'iters':>6s} {'relres':>9s}")
     for shape in args.grids:
         label = str(shape[0]) if shape[1] == 1 else f"{shape[0]}x{shape[1]}"
-        for variable in (False, True):
-            b, a, hx, hy = problem(shape, variable)
+        for kind in ("constant", "variable", "smooth"):
+            b, a, hx, hy = problem(shape, kind != "constant")
+            if kind == "smooth":  # prepared as a profile is: the balanced preconditioner
+                a = prepare_coefficient(a, hx, hy, smooth=True)
             maxiter = 10 * b.size
             _, iters, relres = cg_solve(b, a, args.dt, hx, hy, RTOL, maxiter)
             t = median_time(lambda: cg_solve(b, a, args.dt, hx, hy, RTOL, maxiter),
                             args.repeats)
-            kind = "variable" if variable else "constant"
             print(f"{label:9s} {kind:11s} {fmt(t):>11s} {iters:6d} {relres:9.1e}")
         rhs, members, hx, hy = stack_problem(shape)
         stack = stack_coefficients(members)

@@ -9,13 +9,16 @@ Each implicit solve is a symmetric positive definite system handled by
 conjugate gradients preconditioned with the exact DCT solve at the mean
 coefficient (see kernels): for a constant coefficient the solve starts
 from that DCT solve and is one transform pair and one stencil
-application, a smoothly varying one takes a few dozen iterations.
-``_drive`` builds a ``SolverPlan`` once per run: each coefficient
-prepared by the kernels (constant or not, mean, axis spectra), and the
-stack of the species with a constant coefficient. Those species share
-one grid and one dt, so a step solves them as one stack (one transform
-pair and one stencil residual for all of them); each species with a
-variable coefficient is solved alone. A failed solve names its species
+application. A ``profile`` coefficient is smooth by construction, so it
+is prepared as smooth and its solves use the balanced preconditioner,
+scaled by (a/mean)^(-1/4) on both sides (on the 96x96 profiles of the
+hetero-2d benchmark, about ten iterations a solve where the plain one
+takes fifteen); ``cells`` data may be rough and keeps the plain one. ``_drive`` builds a ``SolverPlan`` once per run: each coefficient
+prepared by the kernels (constant or not, mean, scaling, axis spectra),
+and the stack of the species with a constant coefficient. Those species
+share one grid and one dt, so a step solves them as one stack (one
+transform pair and one stencil residual for all of them); each species
+with a variable coefficient is solved alone. A failed solve names its species
 and the iterations it made; a failed stack is solved again species by
 species to find it.
 
@@ -395,10 +398,12 @@ class SolverPlan:
     before its first state and passed to every ``step`` of the run.
 
     ``species`` holds each diffusion coefficient as ``kernels`` prepared
-    it: whether it is constant, the mean of a variable one, and the grid's
-    spectrum. The species with a constant coefficient, ``stacked``, share
-    one grid and one dt, so a step solves them as one stack, ``stack``;
-    every other species is solved alone.
+    it: whether it is constant, the mean of a variable one, the
+    preconditioner scaling of a ``profile`` one (the only kind that is
+    smooth by construction), and the grid's spectrum. The species with a
+    constant coefficient, ``stacked``, share one grid and one dt, so a
+    step solves them as one stack, ``stack``; every other species is
+    solved alone.
     """
 
     species: tuple
@@ -412,7 +417,8 @@ class SolverPlan:
 def _solver_plan(cfg: SimConfig) -> SolverPlan:
     """Prepare the run's diffusion coefficients for the implicit solves."""
     hx, hy = kernels.spacing_2d(cfg.grid)
-    species = tuple(kernels.prepare_coefficient(kernels.as_2d(c.materialize(cfg.grid)), hx, hy)
+    species = tuple(kernels.prepare_coefficient(kernels.as_2d(c.materialize(cfg.grid)), hx, hy,
+                                                smooth=c.kind == "profile")
                     for c in cfg.coefficients)
     stacked = tuple(k for k, c in enumerate(species) if c.constant)
     stack = kernels.stack_coefficients([species[k] for k in stacked]) if stacked else None

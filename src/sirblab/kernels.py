@@ -20,11 +20,10 @@ symmetric positive definite with smallest eigenvalue 1. On a uniform
 cell-centred grid with zero-flux faces the orthonormal DCT-II basis
 diagonalises the constant-coefficient stencil exactly, with eigenvalues
 -a * lam_h, lam_h = (4/h^2) sin^2(j*pi/(2N)) per axis (Strang, "The
-Discrete Cosine Transform", SIAM Review 1999). The preconditioner is
-that spectral solve at the mean coefficient. When the coefficient varies
-smoothly it is a close approximation and CG starts from x = b. When the
-coefficient is constant it is the exact inverse, and CG starts from it
-instead: one transform pair gives x = M b and one stencil application
+Discrete Cosine Transform", SIAM Review 1999). The preconditioner M is
+that spectral solve at the mean coefficient abar. When the coefficient
+is constant it is the exact inverse, and CG starts from it: one
+transform pair gives x = M b and one stencil application
 checks its residual, which is the whole solve unless the rounding of
 that application (about cond * eps relative) exceeds the tolerance; then
 the same PCG loop carries on from there. A constant right-hand side is
@@ -34,9 +33,45 @@ preconditioner applications, the spectral start included. The
 transforms are dense matrix products with a cached basis per axis, which
 keeps the module numpy-only.
 
+A variable coefficient starts CG from x = b, with one of two
+preconditioners:
+
+* M itself, for a field not known to be smooth (per-cell data, and any
+  raw field passed to ``cg_solve``). It ignores where the coefficient is
+  large, so the whole contrast of a lands on the diffusion-dominated
+  high modes.
+* S M S with S = (a/abar)^(-1/4), for a field prepared as smooth
+  (``prepare_coefficient(..., smooth=True)``; the integrator asks for it
+  for ``profile`` coefficients, analytic cosines and gaussians). Up to
+  lower-order terms, S (I - dt*D) S is sqrt(abar/a) - dt*sqrt(abar*a)*Lap,
+  which M inverts with abar in both places: the identity-dominated low
+  modes and the diffusion-dominated high modes are each off by only the
+  square root of the contrast. The full Concus-Golub scaling
+  S = (a/abar)^(-1/2) (SIAM J. Numer. Anal. 10, 1973) puts the whole
+  contrast on the low modes instead. S is computed once per prepared
+  field and costs two elementwise products per iteration.
+
+Iterations at 96x96 on the unit square, base 0.015, a right-hand side
+uniform in [0, 2), rtol 1e-13, M against S M S:
+
+    coefficient                               dt     M   S M S
+    cos(pi x)cos(2 pi y) profile, amp 0.5    5/32   26     17
+    gaussian, amp 2, width 0.3               5/32   26     18
+    gaussian, amp 50, width 0.05             5/32  107     45
+    white-noise cells U(0.0015, 0.015)       5/32   37     44
+    white-noise cells U(0.0015, 0.015)       2      41    159
+    white-noise cells U(0.0015, 0.015)       40     44    352
+
+On rough data the scaling is a large loss, which is why per-cell
+coefficients keep M. A profile that varies on the grid scale is rough
+too: a cosine with 60 half-waves per axis on 96 cells takes 16 against
+77 iterations at dt 2 (14 against 31 at dt 5/32); no shipped scenario
+or benchmark workload has one.
+
 A coefficient is prepared once for many solves (``prepare_coefficient``):
-the constant test, the mean of a variable field, and the grid's
-spectrum; the face weights of a variable field are built per solve. Constant coefficients on one grid form a stack
+the constant test, the mean of a variable field, its scaling when it is
+smooth, and the grid's spectrum; the face weights of a variable field
+are built per solve. Constant coefficients on one grid form a stack
 (``stack_coefficients``), solved by one ``cg_solve`` call on an
 (m, nx, ny) stack of right-hand sides: one forward transform, one scaling
 by 1/(1 + dt*a_k*lam_h), one inverse transform and one stencil residual
@@ -203,6 +238,8 @@ class Coefficients:
     face weights each solve builds).
     ``basis`` and ``lam`` are the grid's spectrum (``_grid_spectrum``); the
     preconditioner at coefficient c solves with 1 / (1 + dt*c*lam).
+    ``scaling`` is S = (field/scale)^(-1/4) for a variable field prepared
+    as smooth, whose preconditioner is then S M S; it is None otherwise.
     """
 
     constant: bool
@@ -210,16 +247,26 @@ class Coefficients:
     field: np.ndarray | None
     basis: tuple
     lam: np.ndarray
+    scaling: np.ndarray | None = None
 
 
-def prepare_coefficient(a, hx, hy) -> Coefficients:
+def prepare_coefficient(a, hx, hy, smooth=False) -> Coefficients:
     """One 2D coefficient field, tested for constancy once: a stack of one
-    if ``a.min() == a.max()``, else a variable field."""
+    if ``a.min() == a.max()``, else a variable field.
+
+    ``smooth`` declares that a variable ``a`` varies smoothly on the grid
+    (an analytic profile), so the balanced preconditioner pays off: its
+    scaling (``Coefficients.scaling``) is computed here, once. A rough
+    field must keep the default, whose preconditioner ignores where the
+    coefficient is large (see the module docstring).
+    """
     basis, lam = _grid_spectrum(a.shape, hx, hy)
     value = a.min()
     if value == a.max():
         return Coefficients(True, np.full((1, 1, 1), float(value)), None, basis, lam)
-    return Coefficients(False, float(a.sum()) / a.size, a, basis, lam)
+    mean = float(a.sum()) / a.size
+    scaling = (a / mean) ** -0.25 if smooth else None
+    return Coefficients(False, mean, a, basis, lam, scaling)
 
 
 def stack_coefficients(members) -> Coefficients:
@@ -245,13 +292,15 @@ def _pcg(x, r, rs, helmholtz, precondition, target, it, maxiter):
             break
         alpha = rz / pap
         x = x + alpha * p
-        r = r - alpha * ap
+        ap *= alpha  # r - alpha*ap and z + beta*p, with fewer temporaries
+        r = r - ap
         rs = float(np.dot(r.ravel(), r.ravel()))
         if math.sqrt(rs) <= target:
             break
         z = precondition(r)
         rz_new = float(np.dot(r.ravel(), z.ravel()))
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return x, it, rs
 
@@ -297,7 +346,9 @@ def cg_solve(b, a, dt, hx, hy, rtol, maxiter):
     ``b`` is one (nx, ny) right-hand side, or, for a stack of m constants,
     an (m, nx, ny) stack with one right-hand side per member. The
     preconditioner M is the exact spectral solve at the coefficient's
-    mean. The start follows from the input; there is no option:
+    mean, or S M S for a variable coefficient prepared as smooth
+    (``Coefficients.scaling``; a raw field is never scaled). The start
+    follows from the input; there is no option:
 
     * constant coefficients: M is the exact inverse, so every member
       starts from x = M b: one transform pair and one stencil residual for
@@ -334,6 +385,12 @@ def cg_solve(b, a, dt, hx, hy, rtol, maxiter):
     rs = float(np.dot(r.ravel(), r.ravel()))
     if math.sqrt(rs) > target:
         inv = 1.0 / (1.0 + (dt * c.scale) * c.lam)
-        x, it, rs = _pcg(x, r, rs, helmholtz, lambda v: _spectral(v, inv, c.basis),
-                         target, it, maxiter)
+        s = c.scaling
+        if s is None:
+            def precondition(v):
+                return _spectral(v, inv, c.basis)
+        else:
+            def precondition(v):
+                return s * _spectral(s * v, inv, c.basis)
+        x, it, rs = _pcg(x, r, rs, helmholtz, precondition, target, it, maxiter)
     return x, it, math.sqrt(rs) / bnorm

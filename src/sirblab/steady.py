@@ -225,7 +225,9 @@ def endemic_exists(p: ModelParams, diagnostics: bool = False):
     Returns the boolean verdict, or (verdict, EndemicDiagnostics) when
     diagnostics=True. Both raise ValueError, naming the rates, when
     b0 > d1 and 2*b0 overflows: the quotient would read 0 (or nan) and the
-    verdict a silent False. The diagnostics also raise when c2 is not
+    verdict a silent False. Where only k1*(b0-d1) overflows, the quotient
+    is formed as k1*((b0-d1)/(2*b0)) instead, so the verdict compares the
+    true left side. The diagnostics also raise when c2 is not
     positive (``_c2``) or I_star is not a finite float: extreme rates
     overflow the square (OverflowError on floats), make the quotient inf
     or nan, or underflow its denominator to 0 (ZeroDivisionError).
@@ -237,6 +239,8 @@ def endemic_exists(p: ModelParams, diagnostics: bool = False):
             f"is not finite for k1={p.k1!r}, b0={p.b0!r}, d1={p.d1!r}"
         )
     lhs = p.k1 * (p.b0 - p.d1) / twice_b0
+    if lhs == math.inf:  # k1*(b0-d1) overflowed; the true quotient is at most k1/2
+        lhs = p.k1 * ((p.b0 - p.d1) / twice_b0)
     rhs = (p.d2 + p.gamma) / p.beta2
     exists = lhs > rhs
     if not diagnostics:

@@ -27,7 +27,6 @@ import functools
 import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from .grid import neumann_modes
 from .scenario import (ConfigError, diffusion_matrix, parse_coefficients, parse_grid,
@@ -119,6 +118,17 @@ def _cell_text(value) -> str:
     if isinstance(value, float):
         return repr(float(value))  # plain repr even for numpy scalars
     return str(value)
+
+
+def ProcessPoolExecutor(max_workers):
+    """A ``concurrent.futures.ProcessPoolExecutor`` of ``max_workers``.
+
+    Imported here, when a sweep first runs in parallel: the import pulls in
+    multiprocessing and socket, which a serial run never uses, and would
+    otherwise cost every CLI start-up.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def run_sweep(base: dict, axes, outputs, modes: int, out_dir: str,

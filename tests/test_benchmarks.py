@@ -20,6 +20,7 @@ def test_bench_kernels_runs_on_a_small_grid():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "step" in proc.stdout and "turing 64" in proc.stdout
+    assert "8         smooth" in proc.stdout
 
 
 def test_bench_e2e_records_a_tiny_run(tmp_path):

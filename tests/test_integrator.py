@@ -576,6 +576,41 @@ def test_solver_plan_stacks_the_constant_species():
     assert plan.stacked == () and plan.stack is None
 
 
+def test_solver_plan_scales_only_profile_coefficients():
+    # profiles are smooth by construction; rough per-cell data keeps the
+    # unscaled preconditioner
+    grid = Grid((1.0, 1.0), (12, 10))
+    rng = np.random.default_rng(19)
+    coeffs = (CoefficientField.constant(0.05),
+              CoefficientField.from_cells(grid, rng.uniform(0.0015, 0.015, grid.shape)),
+              CoefficientField.from_profile("cosine", base=0.03, amplitude=0.01, modes=[1, 2]),
+              CoefficientField.from_profile("gaussian", base=0.01, amplitude=0.02, width=0.3))
+    plan = integrator._solver_plan(SimConfig(grid, make_params(), coeffs, None, t_end=1.0))
+    assert [c.constant for c in plan.species] == [True, False, False, False]
+    assert [c.scaling is not None for c in plan.species] == [False, False, True, True]
+    for k in (2, 3):
+        a = plan.species[k].field
+        assert np.array_equal(plan.species[k].scaling, (a / plan.species[k].scale) ** -0.25)
+
+
+@pytest.mark.parametrize("grid", [Grid((2.0,), (40,)), Grid((1.0, 1.0), (12, 10))])
+def test_white_noise_cells_step_as_raw_field_solves_bit_for_bit(grid):
+    rng = np.random.default_rng(23)
+    coeffs = tuple(CoefficientField.from_cells(grid, rng.uniform(0.0015, 0.015, grid.shape))
+                   for _ in range(4))
+    cfg = SimConfig(grid, make_params(), coeffs,
+                    RandomInit((0.5, 0.1, 0.1, 0.2), (1.5, 0.6, 0.4, 1.2), seed=7),
+                    t_end=0.2, dt=0.02, adaptive=False)
+    plan = integrator._solver_plan(cfg)
+    assert plan.stacked == () and all(c.scaling is None for c in plan.species)
+    planned = apart = cfg.build_initial()
+    for _ in range(5):
+        planned = step(planned, cfg.dt, cfg, plan)
+        apart = _step_per_species(apart, cfg.dt, cfg)
+        assert planned.t == apart.t
+        assert np.array_equal(planned.values, apart.values)
+
+
 def test_step_with_a_plan_prepares_nothing(monkeypatch):
     # The constant test, face weights and means are taken once per run.
     grid = Grid((1.0, 1.0), (12, 10))

@@ -120,6 +120,23 @@ def test_endemic_gate_raises_when_twice_b0_overflows():
         all_steady_states(p)
 
 
+def test_endemic_gate_when_only_the_numerator_overflows():
+    # k1*(b0-d1) = 2.4e308 overflows while 2*b0 = 1.6e308 stays finite; the
+    # true lhs is k1/2 = 1.5 against rhs (d2+gamma)/beta2 = 2.0
+    assert endemic_exists(make_params(b0=8e307, d1=0.0, k1=3.0)) is False
+    assert endemic_exists(make_params(b0=8e307, d1=0.0, k1=5.0)) is True  # 2.5 > 2.0
+    assert endemic_exists(make_params(b0=8e307, d1=1e307, k1=4.5)) is False  # 1.96875
+
+
+def test_endemic_gate_keeps_the_float_operations_of_ordinary_rates():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        p = make_params(b0=float(rng.uniform(1.0, 20.0)), d1=float(rng.uniform(0.0, 1.0)),
+                        k1=float(rng.uniform(0.1, 50.0)))
+        _, diag = endemic_exists(p, diagnostics=True)
+        assert diag.condition_lhs.hex() == (p.k1 * (p.b0 - p.d1) / (2.0 * p.b0)).hex()
+
+
 # ---------------------------------------------------------------------------
 # Endemic solver
 # ---------------------------------------------------------------------------

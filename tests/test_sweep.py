@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -221,6 +223,21 @@ def test_worker_count_is_capped(tmp_path, monkeypatch, jobs, cpus, expected):
               ["Z2.exists"], 8, str(tmp_path), jobs=jobs)
     assert sizes == expected
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 7
+
+
+def test_cli_start_up_leaves_the_process_pool_unimported():
+    # concurrent.futures.process pulls in multiprocessing and socket; only a
+    # parallel sweep needs them, so importing the CLI must not load them
+    src = os.path.dirname(os.path.dirname(sweep.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
+    code = ("import sys, sirblab.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'socket', 'concurrent.futures') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_spectrum_is_built_once_per_sweep(tmp_path, monkeypatch):
