@@ -30,7 +30,6 @@ from .integrator import (
     RandomInit,
     simulate,
     step,
-    relax_to_steady,
 )
 from .steady import (
     SteadyState,

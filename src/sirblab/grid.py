@@ -112,6 +112,21 @@ class Grid:
             return (axes[0],)
         return tuple(np.meshgrid(axes[0], axes[1], indexing="ij"))
 
+    def gaussian(self, center, width: float) -> np.ndarray:
+        """exp(-|x - center|^2 / width^2) at the cell centers.
+
+        ``center`` needs one entry per axis and ``width`` must be positive.
+        """
+        if len(center) != self.dim:
+            raise ValueError(f"center needs {self.dim} entries, got {len(center)}")
+        width = float(width)
+        if not width > 0.0:
+            raise ValueError(f"width must be positive, got {width}")
+        r2 = np.zeros(self.shape)
+        for c, x0 in zip(self.meshgrid(), center):
+            r2 = r2 + (c - float(x0)) ** 2
+        return np.exp(-r2 / width**2)
+
     def to_dict(self) -> dict:
         return {"lengths": list(self.lengths), "cells": list(self.cells)}
 
@@ -245,28 +260,24 @@ class CoefficientField:
 
     def _evaluate_profile(self, grid: Grid) -> np.ndarray:
         a = self.profile_args
+        base = float(a["base"])
+        amp = float(a.get("amplitude", 0.0))
         if self.profile == "cosine":
-            base = float(a["base"])
-            amp = float(a.get("amplitude", 0.0))
             modes = a.get("modes", [1] * grid.dim)
+            if len(modes) != grid.dim:
+                raise ValueError(f"modes needs {grid.dim} entries, got {len(modes)}")
             out = np.full(grid.shape, base)
             wave = np.ones(grid.shape)
-            for axis, m in enumerate(modes[: grid.dim]):
+            for axis, m in enumerate(modes):
                 x = grid.axis_centers(axis)
                 c = np.cos(int(m) * math.pi * x / grid.lengths[axis])
                 wave = wave * (c if grid.dim == 1 else
                                c.reshape([-1, 1] if axis == 0 else [1, -1]))
             return out + amp * wave
         if self.profile == "gaussian":
-            base = float(a["base"])
-            amp = float(a.get("amplitude", 0.0))
-            width = float(a.get("width", 0.25 * min(grid.lengths)))
+            width = a.get("width", 0.25 * min(grid.lengths))
             center = a.get("center", [0.5 * L for L in grid.lengths])
-            coords = grid.meshgrid()
-            r2 = np.zeros(grid.shape)
-            for c, x0 in zip(coords, center):
-                r2 = r2 + (c - float(x0)) ** 2
-            return base + amp * np.exp(-r2 / width**2)
+            return base + amp * grid.gaussian(center, width)
         raise ValueError(f"unknown profile {self.profile!r}")
 
     def materialize(self, grid: Grid) -> np.ndarray:
@@ -283,7 +294,7 @@ class CoefficientField:
                 if not np.all(np.isfinite(arr)) or np.min(arr) <= 0.0:
                     raise ValueError(
                         f"profile {self.profile!r} is not strictly positive on the grid "
-                        f"(min {np.min(arr)!r})"
+                        f"(min {float(np.min(arr))!r})"
                     )
                 self.grid = grid
                 self.samples = arr

@@ -41,8 +41,7 @@ One generator owns time: ``_drive`` yields the initial state and every
 accepted step's state, each with its dt and the number of snapshot times
 it lands on. It alone bounds dt, retries a step that fails positivity,
 clips each step to the next pending snapshot time and the last one to
-t_end, and ends the run; ``simulate`` and ``relax_to_steady`` are plain
-loops over it.
+t_end, and ends the run; ``simulate`` is a plain loop over it.
 """
 
 from __future__ import annotations
@@ -66,13 +65,11 @@ __all__ = [
     "RandomInit",
     "SimConfig",
     "Trajectory",
-    "RelaxResult",
     "PositivityError",
     "CGError",
     "stability_dt",
     "step",
     "simulate",
-    "relax_to_steady",
 ]
 
 SPECIES = ("S", "I", "R", "B")
@@ -174,7 +171,7 @@ def _validate_initial(vals: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}: initial data must be finite")
     if np.min(vals) < 0.0:
         raise ValueError(f"{what}: initial data must be nonnegative "
-                         f"(min {np.min(vals)!r})")
+                         f"(min {float(np.min(vals))!r})")
 
 
 @dataclass(frozen=True)
@@ -199,13 +196,9 @@ class BumpInit:
     width: float | None = None
 
     def build(self, grid: Grid) -> StateField:
-        center = self.center or tuple(0.5 * L for L in grid.lengths)
-        width = self.width or 0.2 * min(grid.lengths)
-        coords = grid.meshgrid()
-        r2 = np.zeros(grid.shape)
-        for c, x0 in zip(coords, center):
-            r2 = r2 + (c - float(x0)) ** 2
-        bump = np.exp(-r2 / float(width) ** 2)
+        center = tuple(0.5 * L for L in grid.lengths) if self.center is None else self.center
+        width = 0.2 * min(grid.lengths) if self.width is None else self.width
+        bump = grid.gaussian(center, width)
         vals = np.empty((4,) + grid.shape)
         for k in range(4):
             vals[k] = float(self.base[k]) + float(self.amplitude[k]) * bump
@@ -280,7 +273,6 @@ class SimConfig:
     record_every: int = 1
     record_modes: tuple = ()
     snapshot_times: tuple = ()
-    name: str = "run"
 
     def __post_init__(self):
         if len(self.coefficients) != 4:
@@ -349,13 +341,6 @@ class Trajectory:
     def snapshot_csv(self, index: int) -> str:
         state = self.snapshots[index][1]
         return _cells_csv(state.grid, SPECIES, state.values, _CSV_BLOCK)
-
-
-@dataclass
-class RelaxResult:
-    state: StateField
-    converged: bool
-    rate: float
 
 
 # ---------------------------------------------------------------------------
@@ -594,20 +579,3 @@ def simulate(cfg: SimConfig) -> Trajectory:
     traj.final = state
     return traj
 
-
-def relax_to_steady(cfg: SimConfig, tol: float) -> RelaxResult:
-    """Integrate until the state stops moving or t_end arrives.
-
-    The convergence measure is the max over species of the sup-norm
-    change per unit time across one step; the run stops at the first
-    step where it is at most tol.
-    """
-    states = _drive(cfg)
-    state, _, _ = next(states)
-    rate = math.inf
-    for new_state, dt, _ in states:
-        rate = float(np.max(np.abs(new_state.values - state.values))) / dt
-        state = new_state
-        if rate <= tol:
-            break
-    return RelaxResult(state, rate <= tol, rate)

@@ -210,8 +210,7 @@ class ConditionCheck:
     """One inequality of a regime: its name, margin, and verdict.
 
     The margin is oriented so that positive means satisfied with room to
-    spare; for identities that hold by construction the margin is 0 and
-    the verdict is true.
+    spare.
     """
 
     name: str
@@ -243,26 +242,6 @@ def _strict(name: str, margin: float) -> ConditionCheck:
     return ConditionCheck(name, float(margin), margin > 0.0)
 
 
-def _identity(name: str) -> ConditionCheck:
-    return ConditionCheck(name, 0.0, True)
-
-
-def _regime_structural(p: ModelParams):
-    """Structural bounds the concrete rate forms satisfy identically,
-    plus nonnegative loss rates."""
-    return (
-        _identity("b(0) == 0"),
-        _identity("g1(0, I, B) == 0"),
-        _identity("g2(0) == 0"),
-        _identity("db/dS <= b0"),
-        _identity("dg2/dB <= g0"),
-        ConditionCheck("d1 >= 0", p.d1, p.d1 >= 0.0),
-        ConditionCheck("d2 >= 0", p.d2, p.d2 >= 0.0),
-        ConditionCheck("d3 >= 0", p.d3, p.d3 >= 0.0),
-        ConditionCheck("d4 >= 0", p.d4, p.d4 >= 0.0),
-    )
-
-
 def _regime_damped(p: ModelParams):
     """Global damping: death rates dominate the maximal self-growth
     slopes of S and B, so every species decays toward extinction."""
@@ -270,13 +249,6 @@ def _regime_damped(p: ModelParams):
         _strict("d1 - b0 > 0", p.d1 - p.b0),
         _strict("d4 - g0 > 0", p.d4 - p.g0),
     )
-
-
-def _regime_strict_positive(p: ModelParams):
-    """Every rate strictly positive, as the constant-state analysis assumes."""
-    names = ("b0", "k1", "beta1", "beta2", "k2", "g0", "k3",
-             "d1", "d2", "d3", "d4", "sigma", "gamma", "xi")
-    return tuple(_strict(f"{n} > 0", getattr(p, n)) for n in names)
 
 
 def _regime_decay_candidate(p: ModelParams):
@@ -291,9 +263,7 @@ def _regime_decay_candidate(p: ModelParams):
 
 
 REGIMES = {
-    "structural": _regime_structural,
     "damped": _regime_damped,
-    "strict-positive": _regime_strict_positive,
     "decay-candidate": _regime_decay_candidate,
 }
 
@@ -302,10 +272,11 @@ def check_regime(p: ModelParams, regime: str) -> RegimeReport:
     """Evaluate a named set of parameter inequalities.
 
     Regimes:
-      structural       sign/slope bounds built into the rate forms
       damped           d1 > b0 and d4 > g0 (all species die out)
-      strict-positive  every parameter strictly positive
       decay-candidate  damping plus transmission small against k1
+
+    ``simulate`` flags host-mass growth while ``damped`` holds, and
+    acceptance 2 starts its decay runs where both hold.
     """
     try:
         builder = REGIMES[regime]

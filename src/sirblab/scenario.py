@@ -326,11 +326,14 @@ def build_sim_config(doc: dict, seed_override: int | None = None) -> SimConfig:
         mode_fields.append(("initial.mode", initial.mode))
     _check_mode_indices(grid, mode_fields)
     try:
+        initial.build(grid)  # rejects negative or misshapen initial data now
+    except ValueError as e:
+        raise ConfigError("initial", str(e)) from None
+    try:
         return SimConfig(
             grid=grid, params=params, coefficients=coeffs, initial=initial,
             t_end=t_end, dt=dt, adaptive=adaptive, record_every=record_every,
             record_modes=tuple(record_modes), snapshot_times=tuple(snapshot_times),
-            name=str(doc.get("name", "run")),
         )
     except ValueError as e:
         raise ConfigError("run", str(e)) from None

@@ -132,7 +132,7 @@ def ProcessPoolExecutor(max_workers):
 
 
 def run_sweep(base: dict, axes, outputs, modes: int, out_dir: str,
-              jobs: int = 1, on_row=None) -> str:
+              jobs: int = 1) -> str:
     """Evaluate every axis combination; returns the path of the sweep table.
 
     Parses the base's grid and coefficients and builds the spectrum first,
@@ -183,8 +183,6 @@ def run_sweep(base: dict, axes, outputs, modes: int, out_dir: str,
         error_text = record["error"].replace(",", ";").replace("\n", " ")
         row.append(f'"{error_text}"' if error_text else "")
         lines.append(",".join(row))
-        if on_row is not None:
-            on_row(index, dict(zip(names, combo)), record)
 
     table_path = os.path.join(out_dir, "sweep.csv")
     tmp_path = table_path + ".tmp"

@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +16,8 @@ from sirblab.scenario import MAX_AXIS_CELLS, MAX_MODE_COUNT
 
 from common import REF, DAMPED
 
-SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 def write_json(tmp_path, name, doc):
@@ -276,6 +280,57 @@ def test_simulate_from_a_state_tag_at_overflowing_rates_names_the_range(tmp_path
     assert not out.exists()
 
 
+def _shipped(name):
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
+
+
+def _damped_2d(initial=None, **coefficients):
+    """damped_2d with fields of its bump or its coefficients replaced."""
+    doc = _shipped("damped_2d")
+    doc["initial"].update(initial or {})
+    doc["coefficients"].update(coefficients)
+    return doc
+
+
+def _gaussian(**args):
+    return {"kind": "profile", "profile": "gaussian", "base": 0.02, "amplitude": 0.01, **args}
+
+
+def _turing_point_at_epsilon(epsilon):
+    doc = _shipped("turing_point")
+    doc["initial"]["epsilon"] = epsilon
+    return doc
+
+
+@pytest.mark.parametrize("doc,path,named", [
+    (scenario_doc(initial={"kind": "constant", "values": [-1.0, 0.5, 0.2, 0.5]}),
+     "initial", "min -1.0"),
+    (_damped_2d({"amplitude": [-5.0, 0.8, 0.2, 1.0]}), "initial", "nonnegative"),
+    (_turing_point_at_epsilon(1e6), "initial", "nonnegative"),
+    (scenario_doc(initial={"kind": "random", "low": [1.0, 0.0, 0.0, 0.0],
+                           "high": [0.5, 1.0, 1.0, 1.0]}), "initial", "low <= high"),
+    (_damped_2d({"width": 0.0}), "initial", "width"),
+    (_damped_2d({"width": -0.2}), "initial", "width"),
+    (_damped_2d({"center": [0.5]}), "initial", "center"),
+    (_damped_2d({"center": [0.5, 0.5, 0.5]}), "initial", "center"),
+    (_damped_2d(a2=_gaussian(width=0.0)), "coefficients.a2", "width"),
+    (_damped_2d(a2=_gaussian(center=[0.5])), "coefficients.a2", "center"),
+    (_damped_2d(a1={"kind": "profile", "profile": "cosine", "base": 0.02,
+                    "amplitude": 0.01, "modes": [1]}), "coefficients.a1", "modes"),
+], ids=["negative-constant", "negative-bump", "mode-epsilon", "random-low-above-high",
+        "bump-width-0", "bump-width-negative", "bump-center-short", "bump-center-long",
+        "gaussian-width-0", "gaussian-center-short", "cosine-modes-short"])
+def test_simulate_rejects_bad_initial_data_and_geometry(tmp_path, capsys, doc, path, named):
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    out = tmp_path / "o"
+    rc, stdout, stderr = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert f"config error: {path}: " in stderr and named in stderr
+    assert "np.float64" not in stderr
+    assert not out.exists()
+
+
 def test_simulate_rejects_an_oversized_grid_before_allocating(tmp_path, capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("allocated grid-sized data before the grid was bounded")
@@ -465,6 +520,26 @@ def test_simulate_rejects_unresolvable_mode_indices(tmp_path, capsys, field, ind
     assert stdout == ""
     assert field in stderr
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# shipped scenarios
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command,scenario", [
+    (command, scenario) for command in ("steady", "stability")
+    for scenario in ("endemic_1d", "damped_2d", "turing_point")
+] + [("simulate", "endemic_1d"), ("simulate", "damped_2d"), ("sweep", "turing_sweep")])
+def test_shipped_scenarios_run_with_warnings_as_errors(tmp_path, command, scenario):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p)
+    argv = [sys.executable, "-W", "error", "-m", "sirblab.cli", command,
+            "--config", str(SCENARIOS / f"{scenario}.json")]
+    if command in ("simulate", "sweep"):
+        argv += ["--out", str(tmp_path / "o")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

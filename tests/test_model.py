@@ -204,12 +204,12 @@ def test_damped_regime_margins():
     assert host.satisfied and host.margin == pytest.approx(1.0)
 
 
-def test_strict_positive_regime_all_satisfied():
-    rep = check_regime(make_params(), "strict-positive")
-    assert rep.all_satisfied
-    assert all(c.satisfied for c in rep.checks)
-
-
 def test_unknown_regime_rejected():
     with pytest.raises(ValueError, match="unknown regime"):
         check_regime(make_params(), "oscillatory")
+
+
+@pytest.mark.parametrize("regime", ["structural", "strict-positive"])
+def test_only_the_damping_regimes_are_known(regime):
+    with pytest.raises(ValueError, match=r"unknown regime .*\['damped', 'decay-candidate'\]"):
+        check_regime(make_params(), regime)

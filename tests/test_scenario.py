@@ -249,7 +249,6 @@ def test_initial_base_must_have_four_entries():
 def test_build_sim_config_happy_path():
     cfg = build_sim_config(scenario_doc())
     assert isinstance(cfg, SimConfig)
-    assert cfg.name == "case"
     assert cfg.t_end == 1.0 and cfg.adaptive
 
 

@@ -186,13 +186,6 @@ def test_parallel_matches_serial(tmp_path):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
-def test_row_callback_sees_every_point_in_order(tmp_path):
-    seen = []
-    run_sweep(base_doc(), [("d1", [0.5, 1.0])], ["Z2.exists"], 8,
-              str(tmp_path), on_row=lambda i, axes, rec: seen.append((i, axes["d1"])))
-    assert seen == [(0, 0.5), (1, 1.0)]
-
-
 @pytest.mark.parametrize("jobs,cpus,expected", [
     (64, 4, [4]),   # capped by the CPU count
     (64, 16, [6]),  # capped by the number of points
