@@ -79,18 +79,25 @@ the damped rates of scenarios/damped_2d.json, cosine and gaussian
 diffusion profiles and random data (dt 5/32), and on that state with
 four constant coefficients: the median time of one integrator.step,
 given the solver plan ``_drive`` builds once per run, of one positivity
-check of a state and of its sup-norms::
+check of a state and of its sup-norms; before and after the step's
+per-call budget (0-d rates, a stack solved from a view of the right-hand
+sides, one norm pass, one global minimum in the positivity check), the
+least of five to eight runs of each, the two sides alternating::
 
-    step           turing 64          73.8 us
-    step           hetero 96x96      25.21 ms
-    step           constant 96x96     1.72 ms
-    positivity     turing 64           9.1 us
-    positivity     hetero 96x96       20.3 us
-    sup_norms      turing 64           9.7 us
-    sup_norms      hetero 96x96       19.9 us
+                                      before      after
+    step           turing 64          67.5 us    50.7 us
+    step           hetero 96x96      16.16 ms   13.21 ms
+    step           constant 96x96     1.86 ms    1.75 ms
+    positivity     turing 64           5.3 us     3.4 us
+    positivity     hetero 96x96       15.0 us    12.3 us
+    sup_norms      turing 64           5.4 us     3.8 us
+    sup_norms      hetero 96x96       14.8 us    13.4 us
 
 (2 vCPU VM, Python 3.11, numpy 2.4; the timings vary by 20% and more
-from run to run on this VM). With one cg_solve call per species and
+from run to run on this VM, and single runs of the turing step read
+51-96 us after and 68-124 us before). The hetero step moves within that
+noise: the budget saves it only the copy of its one constant species and
+a few microseconds of rates and reductions. With one cg_solve call per species and
 step, each testing its coefficient for constancy and building its
 preconditioner, back-to-back runs gave 211.0 us and 28.42 ms for the
 first two steps. With the cosine and gaussian profiles prepared as

@@ -13,12 +13,14 @@ application. A ``profile`` coefficient is smooth by construction, so it
 is prepared as smooth and its solves use the balanced preconditioner,
 scaled by (a/mean)^(-1/4) on both sides (on the 96x96 profiles of the
 hetero-2d benchmark, about ten iterations a solve where the plain one
-takes fifteen); ``cells`` data may be rough and keeps the plain one. ``_drive`` builds a ``SolverPlan`` once per run: each coefficient
+takes fifteen); ``cells`` data may be rough and keeps the plain one.
+``_drive`` builds a ``SolverPlan`` once per run: each coefficient
 prepared by the kernels (constant or not, mean, scaling, axis spectra),
-and the stack of the species with a constant coefficient. Those species
-share one grid and one dt, so a step solves them as one stack (one
-transform pair and one stencil residual for all of them); each species
-with a variable coefficient is solved alone. A failed solve names its species
+the stack of the species with a constant coefficient, and the rates as
+0-d arrays for the reaction terms. The stacked species share one grid
+and one dt, so a step solves them as one stack (one transform pair and
+one stencil residual for all of them); each species with a variable
+coefficient is solved alone. A failed solve names its species
 and the iterations it made; a failed stack is solved again species by
 species to find it.
 
@@ -33,8 +35,9 @@ aborts the run with the offending species, cell, and time, which almost
 always means the explicit part outran its stability bound. Every state
 is checked once, when it is produced: the initial state by
 ``build_initial`` (nonnegative and finite), every later one by the step
-that computes it, with one min and one max reduction over all four
-species. The sup-norms of that check stay with the state and set the
+that computes it, with one minimum over the whole state and one maximum
+per species (the per-species minima too only when some cell is
+negative). The sup-norms of that check stay with the state and set the
 next step's dt bound, so each state is reduced once.
 
 One generator owns time: ``_drive`` yields the initial state and every
@@ -54,7 +57,7 @@ import numpy as np
 from . import kernels
 from .grid import (Grid, CoefficientField, ScalarField, neumann_modes, mode_profile,
                    project_mode, _CSV_BLOCK, _cells_csv)
-from .model import ModelParams, check_regime, _rhs_terms
+from .model import ModelParams, check_regime, _rate_arrays, _rhs_terms
 
 __all__ = [
     "SPECIES",
@@ -141,24 +144,34 @@ class StateField:
         return ScalarField(self.grid, self.values[k])
 
     def sup_norms(self) -> np.ndarray:
+        return np.array(self._sup_list())
+
+    def _sup_list(self) -> list:
+        """The four sup-norms as floats: the cached list, or one reduction."""
         if self._sup_norms is not None:
-            return np.array(self._sup_norms)
-        return np.array(_extremes(self.values)[1])
+            return self._sup_norms
+        return _extremes(self.values)[1]
 
     def copy(self) -> "StateField":
         return StateField(self.grid, self.values.copy(), self.t)
 
 
 def _extremes(values: np.ndarray) -> tuple:
-    """Per-species minimum and sup-norm of a (4, ...) array, as floats.
+    """Per-species minima and sup-norms of a (4, ...) array, as floats.
 
-    One min and one max reduction cover all four species, and no
-    temporary of the field's size is made: max |u| is max(|min|, |max|)
-    exactly, so the sup-norms are the floats np.max(np.abs(u_k)) gives.
+    Returns (minima, sup-norms), with the minima None when no cell is
+    negative. One global minimum and one per-species maximum settle that
+    usual case: every u_k is then >= 0, so max |u_k| = |max u_k| exactly,
+    ``-0.0`` included. Otherwise (a negative cell, or a NaN) the
+    per-species minima are taken too, and max |u_k| = max(|min|, |max|).
+    No temporary of the field's size is made, and either way the
+    sup-norms are the floats np.max(np.abs(u_k)) gives.
     """
     flat = values.reshape(4, -1)
-    low = flat.min(axis=1).tolist()
     high = flat.max(axis=1).tolist()
+    if flat.min() >= 0.0:
+        return None, [abs(hi) for hi in high]
+    low = flat.min(axis=1).tolist()
     return low, [max(abs(lo), abs(hi)) for lo, hi in zip(low, high)]
 
 
@@ -353,7 +366,7 @@ def stability_dt(state: StateField, p: ModelParams) -> float:
     Row sums of |df/du| are bounded using the current field maxima;
     h1 <= 1 and h1' <= 1/k2 bound the ingestion terms.
     """
-    smax, imax, _, bmax = state.sup_norms().tolist()  # floats, so dt and t stay floats
+    smax, imax, _, bmax = state._sup_list()  # floats, so dt and t stay floats
     trans = p.beta1 * imax + p.beta2 + p.beta1 * smax + p.beta2 * smax / p.k2
     l1 = p.b0 * (1.0 + 2.0 * smax / p.k1) + p.d1 + p.sigma + trans
     l2 = (p.d2 + p.gamma) + trans
@@ -369,11 +382,12 @@ def _check_positivity(values: np.ndarray, time: float) -> list:
     Returns the four sup-norms, as floats, for a state that passes.
     """
     low, scale = _extremes(values)
-    for k in range(4):
-        if low[k] < -POSITIVITY_RTOL * scale[k]:
-            comp = values[k]
-            cell = np.unravel_index(int(np.argmin(comp)), comp.shape)
-            raise PositivityError(SPECIES[k], cell, low[k], time)
+    if low is not None:  # some cell is negative: is it beyond tolerance?
+        for k in range(4):
+            if low[k] < -POSITIVITY_RTOL * scale[k]:
+                comp = values[k]
+                cell = np.unravel_index(int(np.argmin(comp)), comp.shape)
+                raise PositivityError(SPECIES[k], cell, low[k], time)
     return scale
 
 
@@ -388,15 +402,22 @@ class SolverPlan:
     smooth by construction), and the grid's spectrum. The species with a
     constant coefficient, ``stacked``, share one grid and one dt, so a
     step solves them as one stack, ``stack``; every other species is
-    solved alone.
+    solved alone. ``gather`` indexes the stack in the state: a slice when
+    the stacked species are one contiguous run (all four on every shipped
+    scenario), so the stack's right-hand sides are a view, not a copy;
+    else their list. ``rates`` are the model's rates as 0-d float64
+    arrays (``model._rate_arrays``), which the reaction terms multiply
+    without converting a Python float each time.
     """
 
     species: tuple
     stacked: tuple
     stack: kernels.Coefficients | None
+    gather: slice | list
     shape: tuple
     spacing: tuple
     maxiter: int
+    rates: object
 
 
 def _solver_plan(cfg: SimConfig) -> SolverPlan:
@@ -407,8 +428,11 @@ def _solver_plan(cfg: SimConfig) -> SolverPlan:
                     for c in cfg.coefficients)
     stacked = tuple(k for k, c in enumerate(species) if c.constant)
     stack = kernels.stack_coefficients([species[k] for k in stacked]) if stacked else None
-    return SolverPlan(species, stacked, stack, species[0].lam.shape, (hx, hy),
-                      10 * cfg.grid.ncells)
+    gather = list(stacked)
+    if stacked and stacked[-1] - stacked[0] == len(stacked) - 1:  # one contiguous run
+        gather = slice(stacked[0], stacked[-1] + 1)
+    return SolverPlan(species, stacked, stack, gather, species[0].lam.shape, (hx, hy),
+                      10 * cfg.grid.ncells, _rate_arrays(cfg.params))
 
 
 def _solve(b, k: int, dt: float, plan: SolverPlan, t: float) -> np.ndarray:
@@ -442,6 +466,14 @@ def step(state: StateField, dt: float, cfg: SimConfig,
     CG_RTOL, it and every species after it are solved again alone, in
     order, so the CGError names the first species that stalls and the
     iterations its own solve made.
+
+    On small grids a step costs its number of numpy calls, not its bytes
+    (about 50 us on the 64 cells of ``turing_point`` on a 2 vCPU VM), so
+    it makes no copy it can avoid: the reaction terms read the plan's 0-d
+    rates, a contiguous stack is solved from a view of the right-hand
+    sides, and when the stack is the whole state the solve's output is
+    the new state. The float operations are those of a gathered copy and
+    the ``ModelParams`` floats, in the same order, so the bits are too.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -449,23 +481,27 @@ def step(state: StateField, dt: float, cfg: SimConfig,
         plan = _solver_plan(cfg)
 
     rhs = np.array(_rhs_terms(state.values[0], state.values[1],
-                              state.values[2], state.values[3], cfg.params))
+                              state.values[2], state.values[3], plan.rates))
     rhs *= dt
     rhs += state.values
     rhs = rhs.reshape((4,) + plan.shape)
-    new_vals = np.empty_like(rhs)
+    new_vals = None if len(plan.stacked) == 4 else np.empty_like(rhs)
     for k in range(4):
         if k not in plan.stacked:
             new_vals[k] = _solve(rhs[k], k, dt, plan, state.t)
         elif k == plan.stacked[0]:
-            stacked = list(plan.stacked)
-            x, _, relres = kernels.cg_solve(rhs[stacked], plan.stack, dt, *plan.spacing,
+            x, _, relres = kernels.cg_solve(rhs[plan.gather], plan.stack, dt, *plan.spacing,
                                             CG_RTOL, plan.maxiter)
             if relres > CG_RTOL:
+                if new_vals is None:
+                    new_vals = np.empty_like(rhs)
                 for j in range(k, 4):
                     new_vals[j] = _solve(rhs[j], j, dt, plan, state.t)
                 break
-            new_vals[stacked] = x
+            if new_vals is None:  # the stack is the whole state
+                new_vals = x
+            else:
+                new_vals[plan.gather] = x
 
     t_new = state.t + dt
     new_vals = new_vals.reshape(state.values.shape)
@@ -546,7 +582,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     def record(state: StateField) -> None:
         traj.times.append(state.t)
         cellvol = cfg.grid.cell_volume
-        sup = state.sup_norms().tolist()
+        sup = state._sup_list()
         for k, s in enumerate(SPECIES):
             traj.sup[s].append(sup[k])
             traj.l1[s].append(float(np.sum(np.abs(state.values[k])) * cellvol))
@@ -570,7 +606,8 @@ def simulate(cfg: SimConfig) -> Trajectory:
                      "value": mass, "previous": prev})
 
     for n, (state, _, hits) in enumerate(_drive(cfg)):
-        traj.snapshots += [(state.t, state.copy()) for _ in range(hits)]
+        if hits:
+            traj.snapshots += [(state.t, state.copy()) for _ in range(hits)]
         if n % cfg.record_every == 0:
             record(state)
     if n % cfg.record_every != 0:

@@ -306,27 +306,37 @@ def _pcg(x, r, rs, helmholtz, precondition, target, it, maxiter):
 
 
 def _constant_solve(b, c, dt, hx, hy, rtol, maxiter):
-    """The spectral start of ``cg_solve`` for a stack of constants."""
+    """The spectral start of ``cg_solve`` for a stack of constants.
+
+    On small grids its cost is the number of numpy calls, so the start
+    makes as few as it can: the corner-cell test for uniform right-hand
+    sides runs on Python floats, and b and the residual r share one
+    (2m, nx*ny) buffer, whose row norms one ``einsum`` takes (each row's
+    bits are those of a separate call on b or r).
+    """
     nx, ny = b.shape[-2:]
     flat = b.reshape(-1, nx * ny)
+    m = flat.shape[0]
     w = c.scale.reshape(b.shape[:-2] + (1, 1))
     inv = 1.0 / (1.0 + (dt * w) * c.lam)
     x = _spectral(b, inv, c.basis)
     members = x.reshape(-1, nx, ny)  # views of x, one per member
     # the corner cells settle most right-hand sides without a scan
-    uniform = flat[:, 0] == flat[:, -1]
-    if uniform.any():
-        uniform &= flat.min(axis=1) == flat.max(axis=1)
-        members[uniform] = b.reshape(members.shape)[uniform]
-    r = b - (x - dt * _divergence(x, (w, w), hx, hy))
-    rflat = r.reshape(flat.shape)
-    bnorms = np.sqrt(np.einsum("ij,ij->i", flat, flat)).tolist()
-    rnorms = np.sqrt(np.einsum("ij,ij->i", rflat, rflat)).tolist()
+    uniform = [first == last for first, last in zip(flat[:, 0].tolist(), flat[:, -1].tolist())]
+    if any(uniform):
+        mask = np.array(uniform) & (flat.min(axis=1) == flat.max(axis=1))
+        members[mask] = b.reshape(members.shape)[mask]
+        uniform = mask.tolist()
+    both = np.empty((2 * m, nx * ny))
+    both[:m] = flat
+    r = both[m:].reshape(b.shape)
+    np.subtract(b, x - dt * _divergence(x, (w, w), hx, hy), out=r)
+    norms = np.sqrt(np.einsum("ij,ij->i", both, both)).tolist()
     iters, relres = 0, 0.0
-    for k, skip in enumerate(uniform.tolist()):
+    for k, (skip, bnorm, rnorm) in enumerate(zip(uniform, norms[:m], norms[m:])):
         if skip:  # D b = 0: returned unchanged, 0 iterations, residual 0.0
             continue
-        it, rnorm, target = 1, rnorms[k], rtol * bnorms[k]
+        it, target = 1, rtol * bnorm
         if rnorm > target:  # the start's rounding missed rtol: carry on
             wk, inv_k = w.reshape(-1)[k], inv.reshape(members.shape)[k]
             members[k], it, rs = _pcg(
@@ -334,7 +344,11 @@ def _constant_solve(b, c, dt, hx, hy, rtol, maxiter):
                 lambda v: v - dt * _divergence(v, (wk, wk), hx, hy),
                 lambda v: _spectral(v, inv_k, c.basis), target, it, maxiter)
             rnorm = math.sqrt(rs)
-        iters, relres = max(iters, it), max(relres, rnorm / bnorms[k])
+        rnorm /= bnorm  # the largest count and relative residual, without max() calls
+        if it > iters:
+            iters = it
+        if rnorm > relres:
+            relres = rnorm
     return x, iters, relres
 
 

@@ -144,6 +144,21 @@ def _number_list(value, path: str, length: int | None = None) -> list:
             enumerate(_as_list(value, path, length))]
 
 
+def _int_list(value, path: str) -> list:
+    return [_as_int(v, f"{path}[{k}]") for k, v in enumerate(_as_list(value, path))]
+
+
+# The type of each profile argument (``grid._PROFILE_ARGS``); lengths and
+# ranges are the grid's to check.
+_PROFILE_ARG_TYPES = {
+    "base": _as_number,
+    "amplitude": _as_number,
+    "width": _as_number,
+    "center": _number_list,
+    "modes": _int_list,
+}
+
+
 def parse_params(doc: dict) -> ModelParams:
     data = _as_dict(_require(doc, "params", ""), "params")
     for key, value in data.items():
@@ -161,8 +176,7 @@ def parse_grid(doc: dict) -> Grid:
     if extra:
         raise ConfigError(path, f"unknown fields: {', '.join(extra)}")
     lengths = _number_list(_require(data, "lengths", path), f"{path}.lengths")
-    cells = [_as_int(v, f"{path}.cells[{k}]")
-             for k, v in enumerate(_as_list(_require(data, "cells", path), f"{path}.cells"))]
+    cells = _int_list(_require(data, "cells", path), f"{path}.cells")
     for k, n in enumerate(cells):
         if n < 3:  # as Grid says, but before the total is taken
             raise ConfigError(f"{path}.cells[{k}]",
@@ -200,7 +214,8 @@ def _parse_one_coefficient(spec, grid: Grid, path: str) -> CoefficientField:
             c = CoefficientField.from_cells(grid, np.asarray(values))
         else:
             name = _require(spec, "profile", path)
-            args = {k: v for k, v in spec.items() if k not in ("kind", "profile")}
+            args = {k: _PROFILE_ARG_TYPES[k](v, f"{path}.{k}") if k in _PROFILE_ARG_TYPES else v
+                    for k, v in spec.items() if k not in ("kind", "profile")}
             c = CoefficientField.from_profile(name, **args)
         lo, hi = c.bounds(grid)  # surfaces positivity violations now
     except ConfigError:
@@ -317,9 +332,7 @@ def build_sim_config(doc: dict, seed_override: int | None = None) -> SimConfig:
         dt = _as_number(dt, "run.dt")
     adaptive = _as_bool(run.get("adaptive", True), "run.adaptive")
     record_every = _as_int(run.get("record_every", 1), "run.record_every")
-    record_modes = [_as_int(v, f"run.record_modes[{k}]")
-                    for k, v in enumerate(_as_list(run.get("record_modes", []),
-                                                   "run.record_modes"))]
+    record_modes = _int_list(run.get("record_modes", []), "run.record_modes")
     snapshot_times = _number_list(run.get("snapshot_times", []), "run.snapshot_times")
     mode_fields = [(f"run.record_modes[{k}]", j) for k, j in enumerate(record_modes)]
     if isinstance(initial, ModeInit):

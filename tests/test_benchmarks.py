@@ -66,3 +66,40 @@ def test_every_traced_name_exists_and_is_restored():
     finally:
         tracer.restore()
     assert [owner.__dict__[attr] for owner, attr in current()] == originals
+
+
+def _same_artifacts():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "same_artifacts", ROOT / "benchmarks" / "same_artifacts.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_same_artifacts_finds_a_tree_equal_to_itself():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "same_artifacts.py"),
+         str(ROOT / "src"), str(ROOT / "src"), "--size", "tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("same: ") and "from 18 commands" in proc.stdout
+
+
+def test_same_artifacts_ignores_only_the_meta_timestamp(tmp_path):
+    compare = _same_artifacts().compare
+    meta = '{\n  "steps": 3,\n  "timestamp": "%s",\n  "version": "0.1.0"\n}\n'
+    for side, stamp in (("a", "2026-01-01T00:00:00"), ("b", "2026-01-02T09:30:00")):
+        run = tmp_path / side / "job" / "out"
+        run.mkdir(parents=True)
+        (run / "meta.json").write_text(meta % stamp)
+        (run / "trajectory.csv").write_text("time\n0.0\n")
+    assert compare(tmp_path / "a", tmp_path / "b") == (None, 2)
+    (tmp_path / "b" / "job" / "out" / "trajectory.csv").write_text("time\n-0.0\n")
+    assert compare(tmp_path / "a", tmp_path / "b")[0] == "job/out/trajectory.csv"
+    (tmp_path / "b" / "job" / "out" / "meta.json").write_text(
+        (meta % "x").replace('"steps": 3', '"steps": 4'))
+    assert compare(tmp_path / "a", tmp_path / "b")[0] == "job/out/meta.json"
+    (tmp_path / "b" / "job" / "extra.txt").write_text("")
+    assert compare(tmp_path / "a", tmp_path / "b")[0] == "job/extra.txt"

@@ -331,6 +331,34 @@ def test_simulate_rejects_bad_initial_data_and_geometry(tmp_path, capsys, doc, p
     assert not out.exists()
 
 
+def _cosine(**args):
+    return {"kind": "profile", "profile": "cosine", "base": 0.02, "amplitude": 0.01,
+            "modes": [1, 2], **args}
+
+
+@pytest.mark.parametrize("doc,path", [
+    (_damped_2d(a2=_gaussian(center=5)), "coefficients.a2.center"),
+    (_damped_2d(a2=_gaussian(center=[0.5, "0.5"])), "coefficients.a2.center[1]"),
+    (_damped_2d(a2=_gaussian(width=[1])), "coefficients.a2.width"),
+    (_damped_2d(a2=_gaussian(base=None)), "coefficients.a2.base"),
+    (_damped_2d(a2=_gaussian(amplitude=True)), "coefficients.a2.amplitude"),
+    (_damped_2d(a1=_cosine(modes=1)), "coefficients.a1.modes"),
+    (_damped_2d(a1=_cosine(modes=[1.5, 1])), "coefficients.a1.modes[0]"),
+    (_damped_2d(a1=_cosine(base=True)), "coefficients.a1.base"),
+], ids=["center-number", "center-string-entry", "width-list", "base-null",
+        "amplitude-bool", "modes-number", "modes-float-entry", "base-bool"])
+def test_simulate_rejects_profile_arguments_of_the_wrong_type(tmp_path, capsys, doc, path):
+    # each exited 1 with a TypeError traceback, or ran on with the value
+    # coerced (int(1.5), float(True))
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    out = tmp_path / "o"
+    rc, stdout, stderr = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert f"config error: {path}: expected " in stderr
+    assert not out.exists()
+
+
 def test_simulate_rejects_an_oversized_grid_before_allocating(tmp_path, capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("allocated grid-sized data before the grid was bounded")

@@ -723,6 +723,85 @@ def test_stack_failure_that_does_not_recur_alone_keeps_the_per_species_solves(mo
     assert np.array_equal(out.values, np.array(want))
 
 
+def _reference_constant_step(state, dt, cfg):
+    """One step by the float operations the stacked step must keep: the
+    ModelParams floats, rhs*dt + values, and one cg_solve on a gathered copy."""
+    kern = integrator.kernels
+    plan = integrator._solver_plan(cfg)
+    rhs = np.array(integrator._rhs_terms(*state.values, cfg.params)) * dt + state.values
+    gathered = rhs.reshape((4,) + plan.shape)[list(plan.stacked)]
+    x, _, relres = kern.cg_solve(gathered, plan.stack, dt, *plan.spacing,
+                                 integrator.CG_RTOL, plan.maxiter)
+    assert relres <= integrator.CG_RTOL
+    return x.reshape(state.values.shape)
+
+
+def _constant_cfg(grid):
+    coeffs = tuple(CoefficientField.constant(a) for a in (0.05, 0.03, 0.05, 0.01))
+    return SimConfig(grid, make_params(), coeffs,
+                     RandomInit((0.5, 0.1, 0.1, 0.2), (1.5, 0.6, 0.4, 1.2), seed=11),
+                     t_end=1.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    _constant_cfg(Grid((2.0,), (64,))),
+    _constant_cfg(Grid((1.0, 1.0), (12, 10))),
+    build_sim_config(load_json(str(SCENARIOS / "turing_point.json"))),
+], ids=["1d", "2d", "turing_point"])
+def test_constant_step_keeps_the_bits_of_a_gathered_solve(cfg):
+    plan = integrator._solver_plan(cfg)
+    assert plan.stacked == (0, 1, 2, 3) and plan.gather == slice(0, 4)
+    state = cfg.build_initial()
+    for _ in range(6):
+        dt = stability_dt(state, cfg.params)
+        want = _reference_constant_step(state, dt, cfg)
+        new = step(state, dt, cfg, plan)
+        assert new.values.tobytes() == want.tobytes()
+        assert not np.shares_memory(new.values, state.values)
+        state = new
+
+
+def test_plan_gathers_a_contiguous_stack_as_a_slice():
+    grid = Grid((1.0, 1.0), (12, 10))
+    for constant, gather in (((1, 2), slice(1, 3)), ((2,), slice(2, 3)), ((0, 2), [0, 2])):
+        cfg = SimConfig(grid, make_params(), _profile_coefficients(grid, constant), None,
+                        t_end=1.0)
+        assert integrator._solver_plan(cfg).gather == gather
+
+
+def test_rhs_terms_on_the_plan_rates_keep_the_bits_of_the_float_rates():
+    cfg = build_sim_config(load_json(str(SCENARIOS / "turing_point.json")))
+    rates = integrator._solver_plan(cfg).rates
+    for name in vars(cfg.params):
+        value = getattr(rates, name)
+        assert value.shape == () and value.dtype == np.float64
+        assert not value.flags.writeable and float(value) == getattr(cfg.params, name)
+    values = cfg.build_initial().values.copy()
+    values[1, 5] = -3.0 * np.spacing(np.max(values[1]))  # a few ulp below zero
+    values[2, 9] = -0.0
+    values[3, 7] = -5e-324
+    want = integrator._rhs_terms(*values, cfg.params)
+    got = integrator._rhs_terms(*values, rates)
+    for w, g in zip(want, got):
+        assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
+
+
+def test_sup_norms_of_negative_zero_and_of_a_tolerated_negative_cell_are_exact():
+    rng = np.random.default_rng(4)
+    grid = Grid((1.0, 1.0), (6, 5))
+    nonneg = rng.uniform(0.0, 2.0, size=(4, 6, 5))
+    nonneg[2] = -0.0
+    tolerated = nonneg.copy()
+    tolerated[1, 2, 3] = -0.5 * POSITIVITY_RTOL * np.max(tolerated[1])
+    assert integrator._extremes(nonneg)[0] is None  # the one-minimum path
+    assert integrator._extremes(tolerated)[0] is not None  # the per-species path
+    for values in (nonneg, tolerated):
+        want = [float(np.max(np.abs(values[k]))).hex() for k in range(4)]
+        assert [v.hex() for v in StateField(grid, values).sup_norms().tolist()] == want
+        assert [v.hex() for v in integrator._check_positivity(values, 0.0)] == want
+    assert want[2] == "0x0.0p+0"
+
+
 # ---------------------------------------------------------------------------
 # Snapshot CSV
 # ---------------------------------------------------------------------------

@@ -159,6 +159,25 @@ def test_coefficient_profile_and_cells_kinds():
     assert err_path(e) == "coefficients.a1"
 
 
+def test_checked_profile_arguments_give_the_profile_its_samples():
+    # the hetero-2d profiles, and integers where floats are allowed
+    doc = scenario_doc()
+    doc["grid"] = {"lengths": [1.0, 1.0], "cells": [12, 12]}
+    grid = parse_grid(doc)
+    specs = [
+        {"profile": "cosine", "base": 0.015, "amplitude": 0.0075, "modes": [1, 2]},
+        {"profile": "gaussian", "base": 0.015, "amplitude": 0.03, "width": 0.3,
+         "center": [0.4, 0.6]},
+        {"profile": "gaussian", "base": 1, "amplitude": 2, "width": 1, "center": [0, 1]},
+    ]
+    for spec in specs:
+        doc["coefficients"]["a1"] = {"kind": "profile", **spec}
+        parsed = parse_coefficients(doc, grid)[0].materialize(grid)
+        args = {k: v for k, v in spec.items() if k != "profile"}
+        raw = grid_module.CoefficientField.from_profile(spec["profile"], **args)
+        assert parsed.tobytes() == raw.materialize(grid).tobytes()
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "cells", "values": [0.05] * 32},
     {"kind": "profile", "profile": "cosine", "base": 0.05, "amplitude": 0.0},
