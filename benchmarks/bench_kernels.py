@@ -66,12 +66,19 @@ time of steady.solve_endemic (the scan, the bisection of each bracket
 and the assembly of its state) and of steady.SteadyState.make on the
 endemic state it finds::
 
-    solve_endemic    turing_point      300.3 us
-    SteadyState.make turing_point        7.3 us
+    solve_endemic    turing_point      285.5 us
+    SteadyState.make turing_point        5.3 us
 
 (Three back-to-back runs gave 1.57-1.69 ms and 72-87 us when the
 bisection objective and the residual ran on numpy scalars, against
-281-329 us and 7.3-7.7 us on Python floats.)
+281-329 us and 7.3-7.7 us on Python floats. Since the scan and the
+bisection share one body per formula, taking its square root as an
+argument, three runs with ``--grids 8 --repeats 200`` alternating with
+the twin-formula version gave 189-295 us and 5.3-7.8 us, against
+203-306 us and 5.1-7.7 us for the twins; SteadyState.make, which did not
+change, shows that this VM's speed moved by half between runs. Best of
+seven 200-call loops, four runs alternating: 296-328 us against 284-305
+us, about 4% slower: one more call per square root.)
 
 Time stepping, on the start of scenarios/turing_point.json (64 cells,
 four constant coefficients, dt from stability_dt), on a 96x96 state with

@@ -8,8 +8,9 @@ Four subcommands share one scenario format (see scenario module):
     sirblab sweep     --config sweep.json --out DIR --jobs 4
 
 Exit codes: 0 clean, 2 for configuration problems (the message names the
-offending field), 3 when a run violates an invariant (negative density,
-solver stall, mass growth in a regime where mass must decay).
+offending field, or the file or directory that cannot be used), 3 when a
+run violates an invariant (negative density, solver stall, mass growth in
+a regime where mass must decay).
 
 All output files are deterministic for a fixed scenario; the wall-clock
 timestamp appears only in meta.json.
@@ -89,10 +90,11 @@ def _report(payload: dict, endemic_error, out_dir, name: str) -> int:
     if endemic_error is not None:
         payload["endemic_error"] = endemic_error
         print(f"warning: {endemic_error}", file=sys.stderr)
+    if out_dir:  # an unusable directory fails before anything is printed
+        os.makedirs(out_dir, exist_ok=True)
     text = _json_text(payload)
     sys.stdout.write(text)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         _write(os.path.join(out_dir, name), text)
     return 0
 
@@ -248,10 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (PositivityError, CGError, ConsistencyError) as e:

@@ -115,17 +115,22 @@ class Grid:
     def gaussian(self, center, width: float) -> np.ndarray:
         """exp(-|x - center|^2 / width^2) at the cell centers.
 
-        ``center`` needs one entry per axis and ``width`` must be positive.
+        ``center`` needs one entry per axis and ``width`` must be positive,
+        with a square that does not overflow.
         """
         if len(center) != self.dim:
             raise ValueError(f"center needs {self.dim} entries, got {len(center)}")
         width = float(width)
         if not width > 0.0:
             raise ValueError(f"width must be positive, got {width}")
+        try:
+            width2 = width**2
+        except OverflowError:
+            raise ValueError(f"width**2 overflows, got width {width}") from None
         r2 = np.zeros(self.shape)
         for c, x0 in zip(self.meshgrid(), center):
             r2 = r2 + (c - float(x0)) ** 2
-        return np.exp(-r2 / width**2)
+        return np.exp(-r2 / width2)
 
     def to_dict(self) -> dict:
         return {"lengths": list(self.lengths), "cells": list(self.cells)}

@@ -59,6 +59,7 @@ __all__ = [
     "MAX_MODE_COUNT",
     "MAX_AXIS_CELLS",
     "MAX_GRID_CELLS",
+    "LENGTH_RANGE",
 ]
 
 DEFAULT_MODE_COUNT = 32
@@ -75,6 +76,11 @@ MAX_MODE_COUNT = 65536
 MAX_AXIS_CELLS = 2048
 MAX_GRID_CELLS = 1 << 20
 
+# Bounds on grid.lengths. Inside them every spacing, squared spacing, cell
+# volume and listed eigenvalue (j*pi/L)^2 is a normal float; a length of
+# 1e-200 overflows the eigenvalues and one of 1e200 its default bump width.
+LENGTH_RANGE = (1e-100, 1e100)
+
 _COEFF_KEYS = ("a1", "a2", "a3", "a4")
 
 
@@ -87,9 +93,17 @@ class ConfigError(ValueError):
 
 
 def load_json(path: str) -> dict:
-    """Read a JSON document, reporting parse position on failure."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a JSON document, reporting parse position on failure.
+
+    A file that cannot be opened or is not UTF-8 is a ConfigError too.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ConfigError(path, f"cannot read: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(path, f"cannot read: {e}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -176,6 +190,11 @@ def parse_grid(doc: dict) -> Grid:
     if extra:
         raise ConfigError(path, f"unknown fields: {', '.join(extra)}")
     lengths = _number_list(_require(data, "lengths", path), f"{path}.lengths")
+    lo, hi = LENGTH_RANGE
+    for k, length in enumerate(lengths):
+        if not lo <= length <= hi:
+            raise ConfigError(f"{path}.lengths[{k}]",
+                              f"must lie in [{lo:g}, {hi:g}], got {length!r}")
     cells = _int_list(_require(data, "cells", path), f"{path}.cells")
     for k, n in enumerate(cells):
         if n < 3:  # as Grid says, but before the total is taken

@@ -35,19 +35,12 @@ precision; it trusts the threshold as the existence gate and reports a
 bracket failure, rather than silently returning nothing, if the gate
 says yes but no sign change is found.
 
-The scan evaluates both branches on the whole 1,400-point grid as numpy
-arrays. Bisection evaluates one I at a time, thousands of times per
-parameter set, so its objective ``_phi_float`` runs the same formulas on
-Python floats with ``math.sqrt``: a numpy call on one element costs
-about a microsecond of dispatch, the float operation a few tens of
-nanoseconds. The roots are bit-identical to an array bisection, because
-``_phi_float`` performs the operations of ``_s_branches`` minus
-``_s_infection`` in their order, every IEEE-754 addition, subtraction,
-multiplication and division rounds the same whether numpy or Python
-performs it, and ``math.sqrt`` is correctly rounded like ``np.sqrt``. The one place where Python differs from numpy, a division
-by zero, which Python raises and numpy answers with inf or nan, is
-handed to numpy. The steady states themselves (``SteadyState.make``,
-``residual``) evaluate the reaction terms on floats too.
+The scan evaluates the formulas on the whole 1,400-point grid as numpy
+arrays; bisection evaluates them one I at a time on Python floats, where
+a numpy call would cost a microsecond of dispatch. One body serves both:
+each formula is written with plain operators and takes its square root
+as an argument. Both square roots are correctly rounded, so the roots
+come out bit for bit the same on either type.
 """
 
 from __future__ import annotations
@@ -57,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, _rhs_terms, saturation_h1
+from .model import ModelParams, _rhs_terms
 
 __all__ = [
     "SteadyState",
@@ -262,79 +255,53 @@ def endemic_exists(p: ModelParams, diagnostics: bool = False):
     return exists, diag
 
 
-def _bacteria_of_i(i, p: ModelParams):
+def _array_root(x):
+    """sqrt(max(x, 0)) on arrays, NaN kept."""
+    return np.sqrt(np.where(x < 0.0, 0.0, x))
+
+
+def _float_root(x: float) -> float:
+    """sqrt(max(x, 0)) on floats, NaN kept."""
+    return math.sqrt(0.0 if x < 0.0 else x)
+
+
+def _bacteria_of_i(i, p: ModelParams, root):
     """Positive root of xi*I + g0*B*(1 - B/k3) - d4*B = 0.
 
     Written to avoid cancellation when g0 < d4 (m below is negative and
     nearly cancels the square root for small I).
     """
     m = p.g0 - p.d4
-    q = 4.0 * p.g0 * p.xi * np.asarray(i, dtype=float) / p.k3
-    root = np.sqrt(m * m + q)
+    sq = root(m * m + 4.0 * p.g0 * p.xi * i / p.k3)
     if m >= 0.0:
-        return p.k3 * (m + root) / (2.0 * p.g0)
-    return 2.0 * p.xi * np.asarray(i, dtype=float) / (root - m)
+        return p.k3 * (m + sq) / (2.0 * p.g0)
+    return 2.0 * p.xi * i / (sq - m)
 
 
-def _s_infection(i, p: ModelParams):
-    """S forced by the infection balance f2 = 0 at given I > 0."""
-    i = np.asarray(i, dtype=float)
-    h = saturation_h1(_bacteria_of_i(i, p), p)
-    return (p.d2 + p.gamma) * i / (p.beta1 * i + p.beta2 * h)
+def _s_infection(i, p: ModelParams, root):
+    """S forced by the infection balance f2 = 0 at given I > 0.
 
-
-def _s_branches(i, p: ModelParams, c2: float):
-    """Both roots of the host balance quadratic, stable forms."""
-    i = np.asarray(i, dtype=float)
-    r = p.b0 - p.d1
-    disc = r * r - 4.0 * p.b0 * c2 * i / p.k1
-    disc = np.where(disc < 0.0, 0.0, disc)  # guard roundoff at I = I_star
-    root = np.sqrt(disc)
-    s_hi = p.k1 * (r + root) / (2.0 * p.b0)
-    s_lo = 2.0 * c2 * i / (r + root)
-    return s_hi, s_lo
-
-
-def _bacteria_of_i_float(i: float, p: ModelParams) -> float:
-    """``_bacteria_of_i`` at one float I, operation for operation."""
-    m = p.g0 - p.d4
-    root = math.sqrt(m * m + 4.0 * p.g0 * p.xi * i / p.k3)
-    if m >= 0.0:
-        return p.k3 * (m + root) / (2.0 * p.g0)
-    return 2.0 * p.xi * i / (root - m)
-
-
-def _s_infection_float(i: float, p: ModelParams) -> float:
-    """``_s_infection`` at one float I, operation for operation.
-
-    Keeps the B >= 0 check of ``saturation_h1``. Rates that underflow
-    can make the infection pressure exactly 0; that quotient is taken by
-    numpy, which returns inf or nan (with its warning) where Python
-    would raise.
+    Rates that underflow can make the infection pressure exactly 0; a
+    float quotient is then taken by numpy, which returns inf or nan (with
+    its warning) as it does on arrays, where Python would raise.
     """
-    b = _bacteria_of_i_float(i, p)
-    if b < 0.0:
-        raise ValueError("B must be nonnegative")
+    b = _bacteria_of_i(i, p, root)
     num = (p.d2 + p.gamma) * i
     den = p.beta1 * i + p.beta2 * (b / (b + p.k2))
-    if den == 0.0:
+    try:
+        return num / den
+    except ZeroDivisionError:
         return float(np.float64(num) / den)
-    return num / den
 
 
-def _phi_float(i: float, upper: bool, p: ModelParams, c2: float) -> float:
-    """S_branch(I) - S_inf(I) at one float I, the bisection's objective.
-
-    Bit-identical to ``_s_branches`` minus ``_s_infection`` on a
-    one-element array (see the module docstring); ``upper`` picks S1.
-    """
+def _s_branch(i, upper: bool, p: ModelParams, c2: float, root):
+    """One root of the host balance quadratic, stable forms; ``upper``
+    picks S1. The root's clip guards roundoff at I = I_star."""
     r = p.b0 - p.d1
-    disc = r * r - 4.0 * p.b0 * c2 * i / p.k1
-    if disc < 0.0:  # guard roundoff at I = I_star
-        disc = 0.0
-    root = math.sqrt(disc)
-    s = p.k1 * (r + root) / (2.0 * p.b0) if upper else 2.0 * c2 * i / (r + root)
-    return s - _s_infection_float(i, p)
+    sq = root(r * r - 4.0 * p.b0 * c2 * i / p.k1)
+    if upper:
+        return p.k1 * (r + sq) / (2.0 * p.b0)
+    return 2.0 * c2 * i / (r + sq)
 
 
 def _assemble_state(i_root: float, branch: str, p: ModelParams, c2: float):
@@ -344,9 +311,9 @@ def _assemble_state(i_root: float, branch: str, p: ModelParams, c2: float):
     R and B come from their exact closed forms; f1 then vanishes to the
     accuracy of the root itself.
     """
-    s = _s_infection_float(i_root, p)
+    s = _s_infection(i_root, p, _float_root)
     r = p.gamma * i_root / (p.d3 + p.sigma)
-    b = _bacteria_of_i_float(i_root, p)
+    b = _bacteria_of_i(i_root, p, _float_root)
     return np.array([s, i_root, r, b])
 
 
@@ -403,14 +370,16 @@ def solve_endemic(p: ModelParams, diagnostics: bool = False):
     c2 = diag.c2
     i_star = diag.i_star
     grid = _scan_grid(i_star)
-    s_hi, s_lo = _s_branches(grid, p, c2)
-    s_inf = _s_infection(grid, p)
+    s_inf = _s_infection(grid, p, _array_root)
 
     found = []  # (branch, i_root)
-    for branch, phi_vals in (("S1", s_hi - s_inf), ("S2", s_lo - s_inf)):
+    for branch in ("S1", "S2"):
+        upper = branch == "S1"
+        phi_vals = _s_branch(grid, upper, p, c2, _array_root) - s_inf
 
-        def phi(i, _upper=branch == "S1"):
-            return _phi_float(i, _upper, p, c2)
+        def phi(i, _upper=upper):
+            return (_s_branch(i, _upper, p, c2, _float_root)
+                    - _s_infection(i, p, _float_root))
 
         exact = np.nonzero(phi_vals == 0.0)[0]
         for k in exact:

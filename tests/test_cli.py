@@ -331,6 +331,33 @@ def test_simulate_rejects_bad_initial_data_and_geometry(tmp_path, capsys, doc, p
     assert not out.exists()
 
 
+def _with_lengths(name, lengths):
+    doc = _shipped(name)
+    doc["grid"]["lengths"] = lengths
+    return doc
+
+
+@pytest.mark.parametrize("command,doc,path", [
+    ("stability", _with_lengths("endemic_1d", [1e-200]), "grid.lengths[0]"),
+    ("simulate", _with_lengths("endemic_1d", [1e-200]), "grid.lengths[0]"),
+    ("simulate", _with_lengths("damped_2d", [1e-160, 1e-160]), "grid.lengths[0]"),
+    ("simulate", _with_lengths("damped_2d", [1e200, 1e200]), "grid.lengths[0]"),
+    ("simulate", _damped_2d({"width": 1e200}), "initial"),
+    ("stability", _damped_2d(a2=_gaussian(width=1e200)), "coefficients.a2"),
+], ids=["1d-length-1e-200-stability", "1d-length-1e-200-simulate",
+        "2d-lengths-1e-160", "2d-lengths-1e200", "bump-width-1e200", "gaussian-width-1e200"])
+def test_geometry_outside_floating_point_range_exits_2(tmp_path, capsys, command, doc, path):
+    # each exited 1 with an OverflowError, or a nan dt, deep in the run
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    out = tmp_path / "o"
+    argv = ["--modes", "8"] if command == "stability" else ["--out", str(out)]
+    rc, stdout, stderr = run_cli(capsys, command, "--config", cfg, *argv)
+    assert rc == 2
+    assert stdout == ""
+    assert f"config error: {path}: " in stderr
+    assert not out.exists()
+
+
 def _cosine(**args):
     return {"kind": "profile", "profile": "cosine", "base": 0.02, "amplitude": 0.01,
             "modes": [1, 2], **args}
@@ -384,11 +411,52 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "line 1" in stderr
 
 
-def test_missing_config_exits_2(tmp_path, capsys):
-    rc, stdout, stderr = run_cli(capsys, "steady", "--config",
-                                 str(tmp_path / "nope.json"))
+def _unreadable_config(tmp_path, kind):
+    f = tmp_path / "cfg.json"
+    if kind == "directory":
+        f.mkdir()
+    elif kind == "not-utf8":
+        f.write_bytes(b'{"name": "caf\xe9"}')
+    return f
+
+
+def _existing_file(tmp_path):
+    f = tmp_path / "taken"
+    f.write_text("")
+    return f
+
+
+@pytest.mark.parametrize("command,config,out", [
+    ("steady", "missing", None),
+    ("steady", "directory", None),
+    ("steady", "not-utf8", None),
+    ("steady", None, "file"),
+    ("stability", None, "file"),
+    ("simulate", None, "file"),
+    ("sweep", None, "file"),
+], ids=["steady-missing-config", "steady-config-directory", "steady-config-not-utf8",
+        "steady-out-file", "stability-out-file", "simulate-out-file", "sweep-out-file"])
+def test_unusable_paths_exit_2_and_name_the_path(tmp_path, capsys, command, config, out):
+    # a directory, undecodable bytes or an --out that is a file each
+    # exited 1 with a traceback, and steady/stability printed first
+    if config is None:
+        doc = sweep_doc([{"param": "beta2", "values": [0.5]}], None) \
+            if command == "sweep" else scenario_doc()
+        cfg = pathlib.Path(write_json(tmp_path, "cfg.json", doc))
+    else:
+        cfg = _unreadable_config(tmp_path, config)
+    argv = [command, "--config", str(cfg)]
+    named = cfg
+    if out is not None:
+        named = _existing_file(tmp_path)
+        argv += ["--out", str(named)]
+    elif command != "steady":
+        argv += ["--out", str(tmp_path / "o")]
+    rc, stdout, stderr = run_cli(capsys, *argv)
     assert rc == 2
     assert stdout == ""
+    assert stderr.startswith("config error: ") and str(named) in stderr
+    assert "Traceback" not in stderr
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import pytest
 
@@ -10,6 +11,7 @@ from sirblab import kernels
 from sirblab.integrator import BumpInit, ModeInit, RandomInit, SimConfig
 from sirblab.scenario import (
     DEFAULT_MODE_COUNT,
+    LENGTH_RANGE,
     MAX_AXIS_CELLS,
     MAX_GRID_CELLS,
     MAX_MODE_COUNT,
@@ -105,6 +107,20 @@ def test_grid_section():
     with pytest.raises(ConfigError) as e:
         parse_grid(doc)
     assert err_path(e) == "grid.lengths"
+
+
+def test_grid_lengths_are_bounded_inclusively():
+    lo, hi = LENGTH_RANGE
+    doc = scenario_doc()
+    doc["grid"] = {"lengths": [lo, hi], "cells": [3, 3]}
+    assert parse_grid(doc).lengths == (lo, hi)
+    for k, bad in [(0, math.nextafter(lo, 0.0)), (1, math.nextafter(hi, math.inf)),
+                   (0, 0.0), (1, -1.0)]:
+        doc["grid"]["lengths"] = [lo, hi]
+        doc["grid"]["lengths"][k] = bad
+        with pytest.raises(ConfigError, match="must lie in") as e:
+            parse_grid(doc)
+        assert err_path(e) == f"grid.lengths[{k}]"
 
 
 def test_coefficient_section():

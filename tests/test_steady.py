@@ -1,6 +1,8 @@
 """Constant equilibria: closed forms, the endemic branch solver, residuals."""
 
+import hashlib
 import math
+import pathlib
 import types
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as hst
 
 from sirblab import steady
 from sirblab.model import ModelParams, reaction_rhs
+from sirblab.scenario import load_json, parse_params
 from sirblab.steady import (
     EndemicBracketError,
     SteadyState,
@@ -186,14 +189,12 @@ def test_endemic_diagnostics_record_intersections():
 def test_endemic_branch_curves_are_monotone():
     # The existence argument rests on the infection curve rising and the
     # upper host branch falling over the admissible interval.
-    from sirblab.steady import _c2, _s_branches, _s_infection
-
     p = make_params()
     _, diag = endemic_exists(p, diagnostics=True)
-    c2 = _c2(p)
-    i = np.linspace(1e-9, diag.i_star * (1.0 - 1e-9), 200)
-    s_inf = np.array([_s_infection(x, p) for x in i])
-    s_hi = np.array([_s_branches(x, p, c2)[0] for x in i])
+    c2 = steady._c2(p)
+    i = np.linspace(1e-9, diag.i_star * (1.0 - 1e-9), 200).tolist()
+    s_inf = np.array([steady._s_infection(x, p, steady._float_root) for x in i])
+    s_hi = np.array([steady._s_branch(x, True, p, c2, steady._float_root) for x in i])
     assert np.all(np.diff(s_inf) > 0.0)
     assert np.all(np.diff(s_hi) < 0.0)
 
@@ -276,14 +277,21 @@ def test_residual_equals_the_array_reaction_terms():
 
 
 # ---------------------------------------------------------------------------
-# The bisection objective on floats against the array branches
+# The endemic formulas on floats, as bisection runs them, against the same
+# formulas on arrays, as the scan runs them
 # ---------------------------------------------------------------------------
+
+def _float_phi(i, upper, p, c2):
+    """S_branch - S_inf at one float, as the bisection computes it."""
+    root = steady._float_root
+    return steady._s_branch(i, upper, p, c2, root) - steady._s_infection(i, p, root)
+
 
 def _array_phi(i, upper, p, c2):
     """S_branch - S_inf on a one-element array, as the scan computes it."""
-    arr = np.array([i])
-    s_hi, s_lo = steady._s_branches(arr, p, c2)
-    return float(((s_hi if upper else s_lo) - steady._s_infection(arr, p))[0])
+    arr, root = np.array([i]), steady._array_root
+    return float((steady._s_branch(arr, upper, p, c2, root)
+                  - steady._s_infection(arr, p, root))[0])
 
 
 _RATE = hst.one_of(hst.floats(1e-3, 1e3), hst.sampled_from([5e-324, 1e-300, 1e300]))
@@ -312,14 +320,33 @@ def test_float_phi_equals_the_array_branches(rates, fraction):
         i = i_star * fraction
         if not (0.0 < i < math.inf):
             return
-        arr = np.array([i])
+        arr, fr, ar = np.array([i]), steady._float_root, steady._array_root
         for got, expect in (
-                (steady._bacteria_of_i_float(i, p), steady._bacteria_of_i(arr, p)[0]),
-                (steady._s_infection_float(i, p), steady._s_infection(arr, p)[0]),
-                (steady._phi_float(i, True, p, c2), _array_phi(i, True, p, c2)),
-                (steady._phi_float(i, False, p, c2), _array_phi(i, False, p, c2))):
+                (steady._bacteria_of_i(i, p, fr), steady._bacteria_of_i(arr, p, ar)[0]),
+                (steady._s_infection(i, p, fr), steady._s_infection(arr, p, ar)[0]),
+                (_float_phi(i, True, p, c2), _array_phi(i, True, p, c2)),
+                (_float_phi(i, False, p, c2), _array_phi(i, False, p, c2))):
             assert type(got) is float
             assert got.hex() == float(expect).hex()
+
+
+def test_branch_root_clips_a_discriminant_rounded_below_zero():
+    # at I = I_star the discriminant is 0 in exact arithmetic, and some
+    # rates round it to -2.2e-16: both forms take the root of 0
+    rng = np.random.default_rng(0)
+    clipped = 0
+    for _ in range(40):
+        p = random_admissible_params(rng)
+        _, diag = endemic_exists(p, diagnostics=True)
+        r, c2, i = p.b0 - p.d1, diag.c2, diag.i_star
+        if not r * r - 4.0 * p.b0 * c2 * i / p.k1 < 0.0:
+            continue
+        for upper, expect in ((True, p.k1 * r / (2.0 * p.b0)), (False, 2.0 * c2 * i / r)):
+            got = steady._s_branch(i, upper, p, c2, steady._float_root)
+            arr = steady._s_branch(np.array([i]), upper, p, c2, steady._array_root)
+            assert got.hex() == float(arr[0]).hex() == expect.hex()
+        clipped += 1
+    assert clipped > 0
 
 
 def test_degenerate_rates_divide_by_zero_as_the_array_form():
@@ -333,12 +360,12 @@ def test_degenerate_rates_divide_by_zero_as_the_array_form():
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in steady._scan_grid(diag.i_star)[::97].tolist():
             for upper in (True, False):
-                assert steady._phi_float(i, upper, p, c2) == -math.inf
+                assert _float_phi(i, upper, p, c2) == -math.inf
                 assert _array_phi(i, upper, p, c2) == -math.inf
         # with d2 + gamma underflowing too, S_inf is 0 / 0 = nan
         q = types.SimpleNamespace(**{**vars(p), "d2": 0.0, "gamma": 5e-324})
-        assert math.isnan(steady._s_infection_float(0.25, q))
-        assert math.isnan(steady._s_infection(np.array([0.25]), q)[0])
+        assert math.isnan(steady._s_infection(0.25, q, steady._float_root))
+        assert math.isnan(steady._s_infection(np.array([0.25]), q, steady._array_root)[0])
         with pytest.raises(EndemicBracketError, match=(
                 r"^endemic existence threshold holds \(lhs 2.5 > rhs 2\) but no "
                 r"branch intersection was bracketed")):
@@ -366,6 +393,42 @@ def test_float_bisection_roots_equal_the_array_bisection():
             assert root in roots
             compared += 1
     assert compared > 10
+
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+
+# Every bit of the endemic roots, pinned: the Z4 states of two shipped
+# scenarios component by component, and a digest over the states of the
+# random box of the bisection test above.
+PINNED_Z4 = {
+    "turing_point": ("Z4-branch-S2", ["0x1.3360c66b8074ep-8", "0x1.42fa5e8f69735p-6",
+                                      "0x1.4902ccb58d34dp-6", "0x1.8ff7d54da699bp-6"]),
+    "endemic_1d": ("Z4-branch-S2", ["0x1.c36751cd42198p+0", "0x1.859db48e709c8p+0",
+                                    "0x1.859db48e709c8p-1", "0x1.166470893539ep+2"]),
+}
+PINNED_BOX = (14, "a412e0bfc4eb7885768265a8e9f21b698f00221ec34a74492b68873b6d541a81")
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_Z4))
+def test_shipped_endemic_states_are_pinned_to_the_bit(name):
+    p = parse_params(load_json(str(SCENARIOS / f"{name}.json")))
+    [state] = solve_endemic(p)
+    assert (state.tag, [v.hex() for v in state.value.tolist()]) == PINNED_Z4[name]
+
+
+def test_random_box_endemic_states_are_pinned_to_the_bit():
+    rng = np.random.default_rng(11)
+    digest = hashlib.sha256()
+    count = 0
+    for _ in range(40):
+        p = random_admissible_params(rng)
+        if not endemic_exists(p):
+            continue
+        for state in solve_endemic(p):
+            line = " ".join([state.tag, *(v.hex() for v in state.value.tolist())])
+            digest.update(line.encode() + b"\n")
+            count += 1
+    assert (count, digest.hexdigest()) == PINNED_BOX
 
 
 def test_scan_grid_keeps_the_distinct_positive_points():
