@@ -22,8 +22,8 @@ BLAS pinned to one thread)::
     64x64     4 stacked      578.8 us      1   3.9e-14
     64x64     4 apart        599.8 us
     96x96     constant       331.5 us      1   5.8e-14
-    96x96     variable        7.33 ms     24   3.5e-14
-    96x96     smooth          4.24 ms     16   4.3e-14
+    96x96     variable        4.47 ms     24   3.5e-14
+    96x96     smooth          3.23 ms     16   4.3e-14
     96x96     4 stacked       1.93 ms      2   5.8e-14
     96x96     4 apart         1.59 ms
     256x256   constant        9.55 ms      2   1.6e-26
@@ -33,6 +33,9 @@ BLAS pinned to one thread)::
 (The smooth row is from a later run, in which the variable row read
 5.82 ms; a second run gave 5.92 against 4.72 ms. The scaling costs two
 elementwise products per iteration and saves a third of the
+iterations. The two 96x96 variable rows are the least of five runs
+alternating with the float64 preconditioner, which read 5.38 and
+3.81 ms: the float32 preconditioner takes the same 24 and 16
 iterations.) A constant coefficient starts from the exact spectral solve: one
 transform pair and one stencil application. At 256x256 that leaves a
 rounding residual of about cond * eps, above the 1e-13 target, and a
@@ -109,7 +112,12 @@ step, each testing its coefficient for constancy and building its
 preconditioner, back-to-back runs gave 211.0 us and 28.42 ms for the
 first two steps. With the cosine and gaussian profiles prepared as
 smooth, two runs gave 21.21 and 16.22 ms for the hetero step, and a
-run right after them with every profile unscaled gave 28.18 ms.
+run right after them with every profile unscaled gave 28.18 ms. With the
+float32 preconditioner of the variable coefficients, the hetero step
+took 11.2 against 13.4 ms with the float64 one (least of seven 5-call
+loops in fresh processes, three alternating runs each); the turing step,
+whose stack has no variable coefficient, read 55-105 us against 53-96 us
+in five runs of this script on each side, which is this VM's noise.
 
 Run as ``PYTHONPATH=src python3 benchmarks/bench_kernels.py``; --grids
 takes grid shapes such as ``64 64x64 96x96 256x256``.

@@ -27,8 +27,9 @@ working directory, so that messages naming it read the same for both
 trees. Besides the files a command writes, its exit code, standard output
 and standard error are kept as ``console.txt``. ``meta.json`` is compared
 with its top-level ``timestamp`` line removed; every other file byte for
-byte. Exits 0 when all files are the same, 1 naming the first file that
-differs or exists on one side only.
+byte. Exits 0 when all files are the same, and 1 after listing every file
+that differs or exists on one side only, each differing CSV with the
+largest relative deviation between its numbers, cell by cell.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -129,16 +131,63 @@ def _content(path: Path) -> bytes:
     return _TIMESTAMP.sub(b"", data) if path.name == "meta.json" else data
 
 
-def compare(a: Path, b: Path) -> tuple:
-    """(first differing file or None, number of files compared)."""
+def _deviation(a: bytes, b: bytes):
+    """Largest relative deviation between the numbers of two CSV texts of
+    one layout, cell by cell, or None when a row count, a column count or
+    a cell that is not a number differs. A nan, or an infinity, against
+    any other value is an infinite deviation."""
+    rows_a, rows_b = a.decode().splitlines(), b.decode().splitlines()
+    if len(rows_a) != len(rows_b):
+        return None
+    worst = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        cells_a, cells_b = row_a.split(","), row_b.split(",")
+        if len(cells_a) != len(cells_b):
+            return None
+        for x, y in zip(cells_a, cells_b):
+            if x == y:
+                continue
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                return None
+            if x == y:
+                continue
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return math.inf
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def differences(a: Path, b: Path) -> list:
+    """Every file that differs, as (path, note) in path order. The note is
+    "only in A" or "only in B", the largest relative deviation of a CSV
+    whose cells differ only in their numbers, or "" for any other file."""
     files_a, files_b = _files(a), _files(b)
-    only = sorted(set(files_a) ^ set(files_b))
-    if only:
-        return only[0], 0
-    for n, rel in enumerate(files_a):
-        if _content(a / rel) != _content(b / rel):
-            return rel, n
-    return None, len(files_a)
+    out = []
+    for rel in sorted(set(files_a) | set(files_b)):
+        if (a / rel).is_file() != (b / rel).is_file():
+            out.append((rel, "only in " + ("A" if (a / rel).is_file() else "B")))
+            continue
+        left, right = _content(a / rel), _content(b / rel)
+        if left != right:
+            dev = _deviation(left, right) if rel.endswith(".csv") else None
+            out.append((rel, "" if dev is None else f"max relative deviation {dev:.3g}"))
+    return out
+
+
+def report(a: Path, b: Path, commands: int) -> int:
+    """Print every file that differs between the artifact trees ``a`` and
+    ``b``; the exit code: 0 when none does, else 1."""
+    diffs = differences(a, b)
+    count = len(set(_files(a)) | set(_files(b)))
+    for rel, note in diffs:
+        print(f"differs: {rel}" + (f" ({note})" if note else ""))
+    if diffs:
+        print(f"{len(diffs)} of {count} files differ")
+        return 1
+    print(f"same: {count} files from {commands} commands")
+    return 0
 
 
 def _run_tree(src: Path, job_file: Path, root: Path) -> None:
@@ -175,12 +224,7 @@ def main(argv=None) -> int:
         roots = (tmp / "a", tmp / "b")
         for src, root in zip(args.trees, roots):
             _run_tree(src.resolve(), job_file, root)
-        first, count = compare(*roots)
-    if first is not None:
-        print(f"differs: {first}")
-        return 1
-    print(f"same: {count} files from {len(job_list)} commands")
-    return 0
+        return report(*roots, len(job_list))
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from .scenario import (
     ConfigError,
     analysis_mode_count,
     build_sim_config,
+    check_mode_products,
     diffusion_matrix,
     load_json,
     parse_coefficients,
@@ -50,9 +51,16 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# Characters per write: the text layer writes an ASCII piece of at most its
+# chunk size (8192) without encoding a copy of it, so a snapshot's text is
+# never held twice.
+_WRITE_CHUNK = 8192
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        for start in range(0, len(text), _WRITE_CHUNK):
+            fh.write(text[start:start + _WRITE_CHUNK])
 
 
 def _meta(command: str, doc: dict, **extra) -> dict:
@@ -119,6 +127,7 @@ def cmd_stability(args) -> int:
     diff = diffusion_matrix(coeffs)
     count = analysis_mode_count(doc, args.modes)
     spectrum = neumann_modes(grid, count)
+    check_mode_products(diff, spectrum)
     states, diag, endemic_error = _collect_states(params)
     reports = [classify_state(st, params, diff, spectrum) for st in states]
     payload = {

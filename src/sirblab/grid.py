@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -191,17 +192,24 @@ def _cells_csv(grid: Grid, names, columns, block: int = _CSV_BLOCK) -> str:
     value in each field of ``columns``, headed ``names``.
 
     tolist gives Python floats, whose repr is the shortest string that
-    reads back to the same double. Rows are converted and joined
-    ``block`` cells at a time, so only one block's floats and row strings
-    are alive at once.
+    reads back to the same double. The coordinates are converted once per
+    axis and paired cell by cell in C order, as ``meshgrid`` lays them out;
+    the values are converted and joined ``block`` cells at a time, so only
+    one block's floats and rows are alive at once. Each block is appended
+    to the text with ``+=``, which CPython does in place for a string with
+    one reference, so the text is never alive twice, as a join of all the
+    blocks would make it.
     """
     header = ["x", "y"][: grid.dim] + list(names)
-    columns = [c.ravel() for c in (*grid.meshgrid(), *columns)]
-    blocks = [",".join(header)]
+    axes = [list(map(repr, grid.axis_centers(k).tolist())) for k in range(grid.dim)]
+    cells = map(",".join, itertools.product(*axes))
+    columns = [c.ravel() for c in columns]
+    text = ",".join(header)
     for start in range(0, grid.ncells, block):
-        rows = zip(*[c[start:start + block].tolist() for c in columns])
-        blocks.append("\n".join([",".join(map(repr, row)) for row in rows]))
-    return "\n".join(blocks) + "\n"
+        values = [map(repr, c[start:start + block].tolist()) for c in columns]
+        text += "\n" + "\n".join(map(",".join, zip(itertools.islice(cells, block), *values)))
+    text += "\n"
+    return text
 
 
 # ---------------------------------------------------------------------------

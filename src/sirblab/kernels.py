@@ -51,16 +51,36 @@ preconditioners:
   contrast on the low modes instead. S is computed once per prepared
   field and costs two elementwise products per iteration.
 
-Iterations at 96x96 on the unit square, base 0.015, a right-hand side
-uniform in [0, 2), rtol 1e-13, M against S M S:
+M runs in single precision for both: the grid's basis (one float32 copy
+per grid, ``_single_basis``), 1/(1 + dt*abar*lam) and the vector M is
+applied to are rounded to float32, four float32 products transform, and
+the result is widened back to float64. The stencil, the residual
+recurrence and the stopping test stay in float64, so the returned
+relative residual meets the tolerance as before; an inexact
+preconditioner only changes the CG iterates, not what they converge to
+(Golub & Ye, SIAM J. Sci. Comput. 21, 1999).
 
-    coefficient                               dt     M   S M S
-    cos(pi x)cos(2 pi y) profile, amp 0.5    5/32   26     17
-    gaussian, amp 2, width 0.3               5/32   26     18
-    gaussian, amp 50, width 0.05             5/32  107     45
-    white-noise cells U(0.0015, 0.015)       5/32   37     44
-    white-noise cells U(0.0015, 0.015)       2      41    159
-    white-noise cells U(0.0015, 0.015)       40     44    352
+Iterations at 96x96 on the unit square, base 0.015, a right-hand side
+uniform in [0, 2), rtol 1e-13, M against S M S, with M in float32 and,
+in brackets where they differ, in float64:
+
+    coefficient                               dt     M         S M S
+    cos(pi x)cos(2 pi y) profile, amp 0.5    5/32   26         17
+    gaussian, amp 2, width 0.3               5/32   26         18
+    gaussian, amp 50, width 0.05             5/32  112 (107)   48 (45)
+    gaussian, amp 50, width 0.05             2     120 (115)   53 (49)
+    white-noise cells U(0.0015, 0.015)       5/32   37         44
+    white-noise cells U(0.0015, 0.015)       2      41        179 (159)
+    white-noise cells U(0.0015, 0.015)       40     44        586 (352)
+
+The rounding error of one application, relative to M's smallest
+eigenvalue 1/(1 + dt*abar*lam_max), grows like 2^-24 * dt*max(a)*lam_max,
+so float32 costs iterations at large dt: at dt 4000 the cosine profile
+takes 35 S M S iterations against 28, the amp-50 gaussian 131 against 90.
+An application costs about 0.6 of a float64 one, so by that cost those
+solves are still no slower; the cells, which keep M, take 49 iterations
+in either precision. (S M S on the cells, which no solve uses, takes 1247 against
+480.)
 
 On rough data the scaling is a large loss, which is why per-cell
 coefficients keep M. A profile that varies on the grid scale is rough
@@ -209,6 +229,19 @@ def _grid_spectrum(shape, hx, hy) -> tuple:
     return (cx, cy), lam
 
 
+@functools.lru_cache(maxsize=32)
+def _single_basis(shape, hx, hy) -> tuple:
+    """float32 copy of the ``_grid_spectrum`` basis, for the preconditioner
+    of a variable coefficient; cached and read-only like it."""
+    out = []
+    for c in _grid_spectrum(shape, hx, hy)[0]:
+        if c is not None:
+            c = c.astype(np.float32)
+            c.setflags(write=False)
+        out.append(c)
+    return tuple(out)
+
+
 def _spectral(r, inv, basis):
     """C ((C^T r) * inv) over the last two axes of one field or a stack."""
     cx, cy = basis
@@ -218,14 +251,29 @@ def _spectral(r, inv, basis):
 
 
 def _mean_coefficient_solver(a, dt, hx, hy):
-    """r -> (I - dt*abar*D_1)^{-1} r, with D_1 the unit-coefficient stencil.
+    """r -> M r, or S M S r for a field prepared as smooth: the
+    preconditioner of a variable coefficient (``Coefficients`` or a raw
+    field), with M = (I - dt*abar*D_1)^{-1} and D_1 the unit-coefficient
+    stencil.
 
-    The preconditioner ``cg_solve`` applies to a variable field, built
-    here from the raw field instead of from its ``Coefficients``.
+    M runs in float32 (the module docstring gives the rounding argument):
+    inv is computed in float64 and rounded once, r (or S r) is rounded into
+    one reused float32 buffer, and the result is widened back to float64.
     """
-    basis, lam = _grid_spectrum(a.shape, hx, hy)
-    inv = 1.0 / (1.0 + (dt * (float(a.sum()) / a.size)) * lam)
-    return lambda r: _spectral(r, inv, basis)
+    c = a if isinstance(a, Coefficients) else prepare_coefficient(a, hx, hy)
+    inv = (1.0 / (1.0 + (dt * c.scale) * c.lam)).astype(np.float32)
+    s = c.scaling
+    basis = _single_basis(c.field.shape, hx, hy)
+    buf = np.empty(c.field.shape, np.float32)
+    if s is None:
+        def precondition(v):
+            np.copyto(buf, v, casting="same_kind")
+            return _spectral(buf, inv, basis).astype(np.float64)
+    else:
+        def precondition(v):
+            np.multiply(s, v, out=buf, casting="same_kind")
+            return s * _spectral(buf, inv, basis)
+    return precondition
 
 
 @dataclass(frozen=True)
@@ -291,7 +339,7 @@ def _pcg(x, r, rs, helmholtz, precondition, target, it, maxiter):
         if pap <= 0.0:
             break
         alpha = rz / pap
-        x = x + alpha * p
+        x += alpha * p
         ap *= alpha  # r - alpha*ap and z + beta*p, with fewer temporaries
         r = r - ap
         rs = float(np.dot(r.ravel(), r.ravel()))
@@ -310,9 +358,13 @@ def _constant_solve(b, c, dt, hx, hy, rtol, maxiter):
 
     On small grids its cost is the number of numpy calls, so the start
     makes as few as it can: the corner-cell test for uniform right-hand
-    sides runs on Python floats, and b and the residual r share one
-    (2m, nx*ny) buffer, whose row norms one ``einsum`` takes (each row's
-    bits are those of a separate call on b or r).
+    sides runs on Python floats, and for a stack of several members b and
+    the residual r share one (2m, nx*ny) buffer, whose row norms one
+    ``einsum`` takes. A single member takes its two norms with two calls
+    instead, so that b is not copied. Up to 8192 cells a row's bits are
+    the same either way; above that, ``einsum`` sums a lone row in pieces
+    of 8192 and its norm may differ in the last bit, which only the
+    reported residual and the test against ``rtol`` see.
     """
     nx, ny = b.shape[-2:]
     flat = b.reshape(-1, nx * ny)
@@ -327,11 +379,17 @@ def _constant_solve(b, c, dt, hx, hy, rtol, maxiter):
         mask = np.array(uniform) & (flat.min(axis=1) == flat.max(axis=1))
         members[mask] = b.reshape(members.shape)[mask]
         uniform = mask.tolist()
-    both = np.empty((2 * m, nx * ny))
-    both[:m] = flat
-    r = both[m:].reshape(b.shape)
-    np.subtract(b, x - dt * _divergence(x, (w, w), hx, hy), out=r)
-    norms = np.sqrt(np.einsum("ij,ij->i", both, both)).tolist()
+    if m == 1:  # two calls, so that b is not copied
+        r = x - dt * _divergence(x, (w, w), hx, hy)
+        np.subtract(b, r, out=r)
+        rows = (flat, r.reshape(1, -1))
+        norms = [math.sqrt(np.einsum("ij,ij->i", v, v)[0]) for v in rows]
+    else:
+        both = np.empty((2 * m, nx * ny))
+        both[:m] = flat
+        r = both[m:].reshape(b.shape)
+        np.subtract(b, x - dt * _divergence(x, (w, w), hx, hy), out=r)
+        norms = np.sqrt(np.einsum("ij,ij->i", both, both)).tolist()
     iters, relres = 0, 0.0
     for k, (skip, bnorm, rnorm) in enumerate(zip(uniform, norms[:m], norms[m:])):
         if skip:  # D b = 0: returned unchanged, 0 iterations, residual 0.0
@@ -398,13 +456,6 @@ def cg_solve(b, a, dt, hx, hy, rtol, maxiter):
     r = b - helmholtz(x)
     rs = float(np.dot(r.ravel(), r.ravel()))
     if math.sqrt(rs) > target:
-        inv = 1.0 / (1.0 + (dt * c.scale) * c.lam)
-        s = c.scaling
-        if s is None:
-            def precondition(v):
-                return _spectral(v, inv, c.basis)
-        else:
-            def precondition(v):
-                return s * _spectral(s * v, inv, c.basis)
+        precondition = _mean_coefficient_solver(c, dt, hx, hy)
         x, it, rs = _pcg(x, r, rs, helmholtz, precondition, target, it, maxiter)
     return x, it, math.sqrt(rs) / bnorm

@@ -392,6 +392,29 @@ def analysis_mode_count(doc: dict, override: int | None = None) -> int:
     return count
 
 
+def check_mode_products(diff: DiffusionMatrix, spectrum) -> None:
+    """Raise ConfigError at grid.lengths when the mode analysis of ``diff``
+    over ``spectrum`` could overflow.
+
+    The analyzer's largest products are cubic in a mode matrix's entries:
+    the determinant of its (S, I, R) block and the Routh-Hurwitz product
+    p*q of that block's cubic, summed into the cubic's tolerance. The
+    diffusion part of an entry is at most m = max_k a_k * lambda_max, and
+    those products of it stay below 16*m^3, so a spectrum whose 16*m^3 is
+    not finite is refused before any mode matrix is built. The bound is
+    conservative on purpose: ``endemic_1d`` at 8 modes overflows from a
+    length of 2.6e-51 down and is refused from 3.3e-51 down. The reaction
+    Jacobian's entries do not depend on the lengths and are not bounded
+    here. ``cmd_stability`` and ``run_sweep`` call it right after building
+    their spectrum; another mode-analysis entry point must do the same.
+    """
+    m = max(diff.to_dict().values()) * float(spectrum.lambdas()[-1])
+    if not math.isfinite(16.0 * m * m * m):
+        raise ConfigError("grid.lengths",
+                          f"too short for a mode analysis of {len(spectrum)} modes: "
+                          f"max a_k * lambda_max = {m:.3g}, whose cube overflows")
+
+
 def diffusion_matrix(coeffs) -> DiffusionMatrix:
     try:
         return DiffusionMatrix.from_coefficients(coeffs)

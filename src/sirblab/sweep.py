@@ -29,8 +29,8 @@ import json
 import os
 
 from .grid import neumann_modes
-from .scenario import (ConfigError, diffusion_matrix, parse_coefficients, parse_grid,
-                       parse_params)
+from .scenario import (ConfigError, check_mode_products, diffusion_matrix,
+                       parse_coefficients, parse_grid, parse_params)
 from .stability import classify_state
 from .steady import EndemicBracketError, endemic_exists, solve_endemic, trivial_states
 
@@ -145,6 +145,7 @@ def run_sweep(base: dict, axes, outputs, modes: int, out_dir: str,
     grid = parse_grid(base)
     diff = diffusion_matrix(parse_coefficients(base, grid))
     spectrum = neumann_modes(grid, modes)
+    check_mode_products(diff, spectrum)
     if outputs is None:
         outputs = list(DEFAULT_OUTPUTS)
     unknown = sorted(set(outputs) - set(OUTPUT_COLUMNS))

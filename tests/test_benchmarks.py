@@ -88,18 +88,57 @@ def test_same_artifacts_finds_a_tree_equal_to_itself():
 
 
 def test_same_artifacts_ignores_only_the_meta_timestamp(tmp_path):
-    compare = _same_artifacts().compare
+    differences = _same_artifacts().differences
     meta = '{\n  "steps": 3,\n  "timestamp": "%s",\n  "version": "0.1.0"\n}\n'
     for side, stamp in (("a", "2026-01-01T00:00:00"), ("b", "2026-01-02T09:30:00")):
         run = tmp_path / side / "job" / "out"
         run.mkdir(parents=True)
         (run / "meta.json").write_text(meta % stamp)
         (run / "trajectory.csv").write_text("time\n0.0\n")
-    assert compare(tmp_path / "a", tmp_path / "b") == (None, 2)
+    assert differences(tmp_path / "a", tmp_path / "b") == []
     (tmp_path / "b" / "job" / "out" / "trajectory.csv").write_text("time\n-0.0\n")
-    assert compare(tmp_path / "a", tmp_path / "b")[0] == "job/out/trajectory.csv"
+    assert differences(tmp_path / "a", tmp_path / "b") == [
+        ("job/out/trajectory.csv", "max relative deviation 0")]
     (tmp_path / "b" / "job" / "out" / "meta.json").write_text(
         (meta % "x").replace('"steps": 3', '"steps": 4'))
-    assert compare(tmp_path / "a", tmp_path / "b")[0] == "job/out/meta.json"
+    assert [rel for rel, _ in differences(tmp_path / "a", tmp_path / "b")] == [
+        "job/out/meta.json", "job/out/trajectory.csv"]
     (tmp_path / "b" / "job" / "extra.txt").write_text("")
-    assert compare(tmp_path / "a", tmp_path / "b")[0] == "job/extra.txt"
+    assert differences(tmp_path / "a", tmp_path / "b")[0] == ("job/extra.txt", "only in B")
+
+
+def test_same_artifacts_lists_every_differing_file(tmp_path, capsys):
+    report = _same_artifacts().report
+    rows = ["x,S,I", "0.25,1.5,0.125", "0.75,2.0,0.0625"]
+    for side in ("a", "b"):
+        for job in ("one", "two"):
+            run = tmp_path / side / job / "out"
+            run.mkdir(parents=True)
+            (run / "snapshot_000.csv").write_text("\n".join(rows) + "\n")
+            (run / "console.txt").write_text("exit 0\n")
+    assert report(tmp_path / "a", tmp_path / "b", 2) == 0
+    assert capsys.readouterr().out == "same: 4 files from 2 commands\n"
+
+    rows[2] = "0.75,2.000000002,0.0625"  # one number, 1e-9 relative
+    for job in ("one", "two"):
+        (tmp_path / "b" / job / "out" / "snapshot_000.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "b" / "two" / "out" / "console.txt").write_text("exit 1\n")
+    assert report(tmp_path / "a", tmp_path / "b", 2) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "differs: one/out/snapshot_000.csv (max relative deviation 1e-09)"
+    assert lines[1:] == ["differs: two/out/console.txt",
+                         "differs: two/out/snapshot_000.csv (max relative deviation 1e-09)",
+                         "3 of 4 files differ"]
+
+    # a number that turns nan, and an infinity that changes sign
+    for side, one, two in (("a", "0.75,2.0,0.0625", "0.75,2.0,inf"),
+                           ("b", "0.75,nan,0.0625", "0.75,2.0,-inf")):
+        for job, last in (("one", one), ("two", two)):
+            csv = tmp_path / side / job / "out" / "snapshot_000.csv"
+            csv.write_text("\n".join(rows[:2] + [last]) + "\n")
+    (tmp_path / "b" / "two" / "out" / "console.txt").write_text("exit 0\n")
+    assert report(tmp_path / "a", tmp_path / "b", 2) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: one/out/snapshot_000.csv (max relative deviation inf)",
+        "differs: two/out/snapshot_000.csv (max relative deviation inf)",
+        "2 of 4 files differ"]

@@ -638,6 +638,34 @@ def test_shipped_scenarios_run_with_warnings_as_errors(tmp_path, command, scenar
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("command", ["stability", "sweep"])
+@pytest.mark.parametrize("length,code", [(1e-100, 2), (1e-45, 0)])
+def test_lengths_whose_mode_products_overflow_exit_2(tmp_path, command, length, code):
+    # endemic_1d at 8 modes: at length 1e-100 a*lambda_max is 2.4e201, and
+    # the analyzer's cubic products of it overflow; at 1e-45 it is 2.4e91.
+    base = json.loads((SCENARIOS / "endemic_1d.json").read_text())
+    base["grid"]["lengths"] = [length]
+    doc = base
+    if command == "sweep":
+        doc = {"name": "tiny", "base": base, "outputs": ["Z4.overall"],
+               "axes": [{"param": "beta2", "values": [0.5]}]}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p)
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sirblab.cli", command,
+         "--config", write_json(tmp_path, "cfg.json", doc), "--modes", "8",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("config error") and "grid.lengths" in proc.stderr
+        assert proc.stdout == "" and not out.exists()
+    else:
+        assert "Warning" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------

@@ -822,7 +822,8 @@ def _snapshot_csv_per_cell(traj, index):
 
 
 @pytest.mark.parametrize("block", [4, 7, 1024])
-@pytest.mark.parametrize("grid", [Grid((2.0,), (7,)), Grid((0.3, 1.0), (5, 3))])
+@pytest.mark.parametrize("grid", [Grid((2.0,), (7,)), Grid((0.3, 1.0), (5, 3)),
+                                  Grid((0.7, 2.0), (3, 10))])
 def test_snapshot_csv_matches_the_per_cell_formula(monkeypatch, grid, block):
     monkeypatch.setattr(integrator, "_CSV_BLOCK", block)
     rng = np.random.default_rng(79)

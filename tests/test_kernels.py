@@ -181,6 +181,21 @@ def test_smooth_coefficient_balanced_preconditioner_converges_faster(profile):
     np.testing.assert_allclose(x, x_ref, rtol=1e-10, atol=1e-12)
 
 
+def _mean_solver(a, dt, hx, hy):
+    """The preconditioner of a raw field, written out: the spectral solve at
+    the mean coefficient with the basis, 1/(1 + dt*abar*lam) and the input
+    rounded to float32, and the result widened to float64."""
+    nx, ny = a.shape
+    cx, lx = axis_spectrum(nx, hx)
+    cy, ly = axis_spectrum(ny, hy)
+    abar = float(a.sum()) / a.size
+    inv = (1.0 / (1.0 + (dt * abar) * (lx[:, None] + ly[None, :]))).astype(np.float32)
+    cx, cy = cx.astype(np.float32), cy.astype(np.float32)
+    if ny == 1:
+        return lambda r: (cx @ ((cx.T @ r.astype(np.float32)) * inv)).astype(np.float64)
+    return lambda r: (cx @ ((cx.T @ r.astype(np.float32) @ cy) * inv) @ cy.T).astype(np.float64)
+
+
 def test_1d_fields_skip_y_work_with_the_same_floats():
     # A (n, 1) field has no y faces and a 1x1 identity y transform; the
     # 1D shortcuts must give the bits of the general 2D formulas.
@@ -193,13 +208,9 @@ def test_1d_fields_skip_y_work_with_the_same_floats():
     assert wy is None
     assert np.array_equal(wx, 0.5 * (a[:-1, :] + a[1:, :]))
 
-    cx, lx = axis_spectrum(n, hx)
-    _, ly = axis_spectrum(1, hy)
-    abar = float(a.sum()) / a.size
-    inv = 1.0 / (1.0 + (dt * abar) * (lx[:, None] + ly[None, :]))
-    want = cx @ ((cx.T @ r) * inv)
     got = kernels._mean_coefficient_solver(a, dt, hx, hy)(r)
-    assert np.array_equal(got, want)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, _mean_solver(a, dt, hx, hy)(r))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +218,8 @@ def test_1d_fields_skip_y_work_with_the_same_floats():
 # ---------------------------------------------------------------------------
 
 def _pcg_from_b(b, a, dt, hx, hy, rtol, maxiter):
-    """PCG from x = b: the reference for every solve without the spectral start."""
+    """PCG from x = b: the reference for every solve without the spectral
+    start, preconditioned by ``_mean_solver``."""
     weights = kernels._face_weights(a)
 
     def helmholtz(v):
@@ -222,7 +234,7 @@ def _pcg_from_b(b, a, dt, hx, hy, rtol, maxiter):
     target = rtol * bnorm
     if math.sqrt(rs) <= target:
         return x, 0, math.sqrt(rs) / bnorm
-    precondition = kernels._mean_coefficient_solver(a, dt, hx, hy)
+    precondition = _mean_solver(a, dt, hx, hy)
     z = precondition(r)
     rz = float(np.dot(r.ravel(), z.ravel()))
     p = z
@@ -264,6 +276,59 @@ def test_variable_coefficient_solves_are_unchanged_bit_for_bit():
             assert np.array_equal(x, x_ref)
             assert iters == iters_ref
             assert relres == relres_ref
+
+
+def _single_precision_cases():
+    """The amp-50 gaussian (smooth, so S M S) and white-noise cells (M) on
+    96x96, each with the largest float32 iteration count measured at dt
+    5/32, 2, 40 and 4000 plus about a tenth."""
+    grid = Grid((1.0, 1.0), (96, 96))
+    base = 0.015
+    gaussian = CoefficientField.from_profile("gaussian", base=base, amplitude=50.0 * base,
+                                             width=0.05).materialize(grid)
+    cells = np.random.default_rng(5).uniform(0.0015, 0.015, grid.shape)
+    # measured: 48, 53, 64, 131 and 37, 41, 44, 49 (the float64 basis: 45,
+    # 49, 57, 90 and 37, 41, 44, 49)
+    yield gaussian, True, (53, 59, 71, 145), grid.spacing
+    yield cells, False, (41, 46, 49, 54), grid.spacing
+
+
+def test_single_precision_preconditioner_reaches_the_tolerance(monkeypatch):
+    calls = []
+    single = kernels._single_basis
+
+    def counting(*args):
+        calls.append(args)
+        return single(*args)
+
+    monkeypatch.setattr(kernels, "_single_basis", counting)
+    b = np.random.default_rng(29).uniform(0.0, 2.0, (96, 96))
+    for a, smooth, bounds, (hx, hy) in _single_precision_cases():
+        c = kernels.prepare_coefficient(a, hx, hy, smooth=smooth)
+        for dt, bound in zip((5.0 / 32.0, 2.0, 40.0, 4000.0), bounds):
+            calls.clear()
+            x, iters, relres = cg_solve(b, c, dt, hx, hy, 1e-13, 10 * b.size)
+            assert calls == [((96, 96), hx, hy)]
+            assert x.dtype == np.float64
+            assert relres <= 1e-13
+            assert iters <= bound, (smooth, dt, iters)
+
+
+@pytest.mark.parametrize("dt", [5.0 / 32.0, 4000.0])
+def test_balanced_preconditioner_rounds_s_v_once(dt):
+    # S M S: S v is formed in float64 and rounded once, M runs on the
+    # float32 basis, and S widens the result; at every dt, one precision.
+    a = np.random.default_rng(5).uniform(0.0015, 0.015, (96, 96))
+    hx = hy = 1.0 / 96
+    c = kernels.prepare_coefficient(a, hx, hy, smooth=True)
+    cx, cy = (m.astype(np.float32) for m in c.basis)
+    inv = (1.0 / (1.0 + (dt * c.scale) * c.lam)).astype(np.float32)
+    r = np.random.default_rng(31).normal(size=a.shape)
+    v = (c.scaling * r).astype(np.float32)
+    want = c.scaling * (cx @ ((cx.T @ v @ cy) * inv) @ cy.T)
+    got = kernels._mean_coefficient_solver(c, dt, hx, hy)(r)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
 
 
 def _count_stencils(monkeypatch):
