@@ -50,19 +50,27 @@ glibc malloc maps fresh from the OS on each call by default.
 Mode analysis, on the 2 x 1 domain with 64x32 cells of the sweep-2d
 benchmark workload and the rates of scenarios/turing_point.json: the
 median time of grid.neumann_modes per mode count, and of
-stability.classify_state on the endemic (Z4) state per mode::
+stability.classify_state on the endemic (Z4) and the extinction (Z1)
+state, per listed mode and per distinct eigenvalue (179 of the 256)::
 
-    neumann_modes  64x32     256 modes      1.29 ms
-    neumann_modes  64x32    1024 modes      5.67 ms
-    neumann_modes  64x32    4096 modes     23.19 ms
-    classify_state Z4        256 modes       6.0 us/mode
+    neumann_modes  64x32     256 modes     669.4 us
+    neumann_modes  64x32    1024 modes      2.95 ms
+    neumann_modes  64x32    4096 modes     11.77 ms
+    classify_state Z4        256 modes       2.3 us/mode       3.3 us/distinct lambda (179)
+    classify_state Z1        256 modes       0.8 us/mode       1.1 us/distinct lambda (179)
 
-(A back-to-back run gave 11.2 us/mode when the verdicts, the consistency
-checks and the per-mode records were made one mode at a time in Python;
-now the records are built only for JSON output. Three back-to-back runs
-gave 6.2-7.4 us/mode with the spectrum arrays rebuilt per state, the
-lexsort and the Jacobian on numpy scalars, and 6.0-6.4 us/mode now; most
-of it is the stacked eigen-solve.)
+(Those rows are one run with --repeats 30. An earlier run, on a slower
+day of the same VM, read 1.29 ms for 256 modes and 6.0 us/mode for Z4
+with one row per listed mode. A back-to-back run gave 11.2 us/mode when
+the verdicts, the consistency checks and the per-mode records were made
+one mode at a time in Python; the records are now built only for JSON
+output. Three back-to-back runs gave 6.2-7.4 us/mode with the spectrum
+arrays rebuilt per state, the lexsort and the Jacobian on numpy scalars,
+and 6.0-6.4 us/mode without; most of it is the stacked eigen-solve.
+With one row per distinct eigenvalue,
+the median of 30 calls in three fresh processes per side, alternating,
+read 797-1111 against 634-643 us for Z4 and 234-251 against 188-207 us
+for Z1, one row per listed mode against one per distinct eigenvalue.)
 
 Steady states, on the rates of scenarios/turing_point.json: the median
 time of steady.solve_endemic (the scan, the bisection of each bracket
@@ -89,7 +97,12 @@ the damped rates of scenarios/damped_2d.json, cosine and gaussian
 diffusion profiles and random data (dt 5/32), and on that state with
 four constant coefficients: the median time of one integrator.step,
 given the solver plan ``_drive`` builds once per run, of one positivity
-check of a state and of its sup-norms; before and after the step's
+check of a state and of its sup-norms. Each step row is timed in a fresh
+process of this script (``--step LABEL``): in one process a row moves
+with what the rows before it allocated (a change to the float32
+preconditioner read ``step constant 96x96``, which it does not run, at
+2.80 against 1.95 ms for its parent, and 2.57-2.62 against 2.68-2.71 ms
+with the step alone in fresh processes). Before and after the step's
 per-call budget (0-d rates, a stack solved from a view of the right-hand
 sides, one norm pass, one global minimum in the positivity check), the
 least of five to eight runs of each, the two sides alternating::
@@ -127,6 +140,8 @@ import argparse
 import json
 import math
 import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -137,7 +152,7 @@ from sirblab.kernels import cg_solve, prepare_coefficient, stack_coefficients
 from sirblab.model import ModelParams
 from sirblab.scenario import build_sim_config
 from sirblab.stability import DiffusionMatrix, classify_state
-from sirblab.steady import SteadyState, solve_endemic
+from sirblab.steady import SteadyState, solve_endemic, trivial_states
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 SCENARIO = SCENARIOS / "turing_point.json"
@@ -199,36 +214,54 @@ def stack_problem(shape, values=(0.015, 0.015, 0.03, 0.005)):
     return rhs, members, hx, hy
 
 
-def step_cases():
-    """(label, config, state, dt) for the two step benchmarks."""
-    turing = build_sim_config(json.loads(SCENARIO.read_text()))
-    doc = json.loads((SCENARIOS / "damped_2d.json").read_text())
-    a = 0.015
-    doc["grid"] = {"lengths": [1.0, 1.0], "cells": [96, 96]}
-    doc["coefficients"] = {
-        "a1": {"kind": "profile", "profile": "cosine", "base": a,
-               "amplitude": 0.5 * a, "modes": [1, 2]},
-        "a2": {"kind": "profile", "profile": "gaussian", "base": a,
-               "amplitude": 2.0 * a, "width": 0.3, "center": [0.4, 0.6]},
-        "a3": {"kind": "constant", "value": a},
-        "a4": {"kind": "profile", "profile": "cosine", "base": a,
-               "amplitude": 0.5 * a, "modes": [2, 1]},
-    }
-    doc["initial"] = {"kind": "random", "low": [0.5, 0.1, 0.1, 0.2],
-                      "high": [1.5, 0.6, 0.4, 1.2], "seed": 1}
-    doc["run"] = {"t_end": 5.0}
-    hetero = build_sim_config(doc)
-    doc["coefficients"] = {k: {"kind": "constant", "value": v}
-                           for k, v in zip(("a1", "a2", "a3", "a4"), (a, a, 2 * a, a / 3))}
-    constant = build_sim_config(doc)
-    cases = []
-    for label, cfg, cap in (("turing 64", turing, math.inf),
-                            ("hetero 96x96", hetero, 5.0 / 32.0),
-                            ("constant 96x96", constant, 5.0 / 32.0)):
-        state = cfg.build_initial()
-        dt = min(integrator.stability_dt(state, cfg.params), cap)
-        cases.append((label, cfg, state, dt))
-    return cases
+STEP_LABELS = ("turing 64", "hetero 96x96", "constant 96x96")
+
+
+def step_case(label):
+    """(config, state, dt) of one step benchmark, by its label."""
+    if label == "turing 64":
+        cfg, cap = build_sim_config(json.loads(SCENARIO.read_text())), math.inf
+    else:
+        doc = json.loads((SCENARIOS / "damped_2d.json").read_text())
+        a = 0.015
+        doc["grid"] = {"lengths": [1.0, 1.0], "cells": [96, 96]}
+        doc["coefficients"] = {
+            "a1": {"kind": "profile", "profile": "cosine", "base": a,
+                   "amplitude": 0.5 * a, "modes": [1, 2]},
+            "a2": {"kind": "profile", "profile": "gaussian", "base": a,
+                   "amplitude": 2.0 * a, "width": 0.3, "center": [0.4, 0.6]},
+            "a3": {"kind": "constant", "value": a},
+            "a4": {"kind": "profile", "profile": "cosine", "base": a,
+                   "amplitude": 0.5 * a, "modes": [2, 1]},
+        }
+        if label == "constant 96x96":
+            doc["coefficients"] = {k: {"kind": "constant", "value": v} for k, v in
+                                   zip(("a1", "a2", "a3", "a4"), (a, a, 2 * a, a / 3))}
+        doc["initial"] = {"kind": "random", "low": [0.5, 0.1, 0.1, 0.2],
+                          "high": [1.5, 0.6, 0.4, 1.2], "seed": 1}
+        doc["run"] = {"t_end": 5.0}
+        cfg, cap = build_sim_config(doc), 5.0 / 32.0
+    state = cfg.build_initial()
+    return cfg, state, min(integrator.stability_dt(state, cfg.params), cap)
+
+
+def step_row(label, repeats):
+    """The timing row of one integrator.step, given the plan _drive builds."""
+    cfg, state, dt = step_case(label)
+    plan = integrator._solver_plan(cfg)
+    number = 200 if cfg.grid.ncells <= 64 else 2
+    t = per_call(lambda: integrator.step(state, dt, cfg, plan), repeats, number)
+    return f"{'step':14s} {label:14s} {fmt(t):>11s}"
+
+
+def step_rows(repeats):
+    """Each step row from a fresh process of this script: within one process
+    a row's time depends on what earlier rows allocated."""
+    for label in STEP_LABELS:
+        proc = subprocess.run([sys.executable, __file__, "--step", label,
+                               "--repeats", str(repeats)],
+                              capture_output=True, text=True, check=True)
+        print(proc.stdout, end="")
 
 
 def main():
@@ -237,7 +270,12 @@ def main():
                     default=[(64, 1), (64, 64), (96, 96), (256, 256)])
     ap.add_argument("--repeats", type=int, default=10)
     ap.add_argument("--dt", type=float, default=5.0 / 32.0)
+    ap.add_argument("--step", choices=STEP_LABELS,
+                    help="time only this step row (as each fresh process does)")
     args = ap.parse_args()
+    if args.step:
+        print(step_row(args.step, args.repeats))
+        return
 
     print(f"{'grid':9s} {'coefficient':11s} {'time':>11s} {'iters':>6s} {'relres':>9s}")
     for shape in args.grids:
@@ -274,9 +312,12 @@ def main():
                              for k in ("a1", "a2", "a3", "a4")))
     z4 = solve_endemic(p)[0]
     spectrum = neumann_modes(grid, 256)
-    t = median_time(lambda: classify_state(z4, p, diff, spectrum), args.repeats)
-    print(f"classify_state {z4.tag[:2]:6s} {len(spectrum):6d} modes  "
-          f"{t / len(spectrum) * 1e6:8.1f} us/mode")
+    distinct = len(spectrum.distinct_lambdas()[0])
+    for state in (z4, trivial_states(p)[0]):
+        t = median_time(lambda: classify_state(state, p, diff, spectrum), args.repeats)
+        print(f"classify_state {state.tag[:2]:6s} {len(spectrum):6d} modes  "
+              f"{t / len(spectrum) * 1e6:8.1f} us/mode  "
+              f"{t / distinct * 1e6:8.1f} us/distinct lambda ({distinct})")
 
     print()
     t = per_call(lambda: solve_endemic(p), args.repeats, 20)
@@ -285,13 +326,8 @@ def main():
     print(f"{'SteadyState.make':16s} {'turing_point':14s} {fmt(t):>11s}")
 
     print()
-    cases = step_cases()
-    for label, cfg, state, dt in cases:
-        plan = integrator._solver_plan(cfg)  # as _drive passes it
-        number = 200 if cfg.grid.ncells <= 64 else 2
-        t = per_call(lambda: integrator.step(state, dt, cfg, plan),
-                     args.repeats, number)
-        print(f"{'step':14s} {label:14s} {fmt(t):>11s}")
+    step_rows(args.repeats)
+    cases = [(label, *step_case(label)) for label in STEP_LABELS]
     for name, fn in (("positivity", lambda s: integrator._check_positivity(s.values, s.t)),
                      ("sup_norms", lambda s: s.sup_norms())):
         for label, cfg, state, _ in cases:

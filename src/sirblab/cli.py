@@ -33,6 +33,7 @@ from .scenario import (
     analysis_mode_count,
     build_sim_config,
     check_mode_products,
+    check_state_products,
     diffusion_matrix,
     load_json,
     parse_coefficients,
@@ -40,7 +41,7 @@ from .scenario import (
     parse_params,
     parse_sweep,
 )
-from .stability import ConsistencyError, classify_state
+from .stability import ConsistencyError, classify_state, jacobian
 from .steady import EndemicBracketError, endemic_exists, solve_endemic, trivial_states
 from .sweep import run_sweep
 
@@ -129,6 +130,8 @@ def cmd_stability(args) -> int:
     spectrum = neumann_modes(grid, count)
     check_mode_products(diff, spectrum)
     states, diag, endemic_error = _collect_states(params)
+    for st in states:
+        check_state_products(jacobian(st.value, params, st.tag), diff, spectrum)
     reports = [classify_state(st, params, diff, spectrum) for st in states]
     payload = {
         "params": params.to_dict(),

@@ -28,6 +28,7 @@ Validation errors carry the dotted path of the offending field.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -42,7 +43,7 @@ from .integrator import (
     SimConfig,
 )
 from .model import ModelParams
-from .stability import DiffusionMatrix
+from .stability import DiffusionMatrix, Jacobian4
 from .steady import EndemicBracketError, all_steady_states
 
 __all__ = [
@@ -413,6 +414,39 @@ def check_mode_products(diff: DiffusionMatrix, spectrum) -> None:
         raise ConfigError("grid.lengths",
                           f"too short for a mode analysis of {len(spectrum)} modes: "
                           f"max a_k * lambda_max = {m:.3g}, whose cube overflows")
+
+
+def check_state_products(jac: Jacobian4, diff: DiffusionMatrix, spectrum) -> None:
+    """Raise ConfigError at params when the mode analysis of the state whose
+    reaction Jacobian is ``jac`` could overflow.
+
+    Entry (i, k) of every mode matrix is at most e_ik = |J_ik| + [i = k]
+    a_i lambda_max. The analyzer squares entries (the Frobenius norms behind
+    each tol, the Z2 quadratic), and for Z3 and Z4 multiplies three of the
+    (S, I, R) block (the cubic's p*q and determinant, summed into its
+    tolerance). On e the block's trace, its principal 2x2 minors with
+    every sign positive and its permanent bound |p|, |q| and |h|. A state
+    whose sum of squares, or p*q + h bound where a cubic is formed, is not
+    finite (with a margin) is refused: an infinite tol would call every
+    mode marginal. Python floats give inf here, never a warning. Called
+    with ``check_mode_products`` wherever a state is classified.
+    """
+    e = [[abs(v) for v in row] for row in jac.matrix.tolist()]
+    lam_max = float(spectrum.lambdas()[-1])
+    for i, a in enumerate(diff.to_dict().values()):
+        e[i][i] += a * lam_max
+    bound = 16.0 * sum(v * v for row in e for v in row)
+    if jac.tag.startswith(("Z3", "Z4")):
+        b = e[:3]
+        q = sum(b[i][i] * b[k][k] + b[i][k] * b[k][i]
+                for i, k in itertools.combinations(range(3), 2))
+        h = sum(b[0][i] * b[1][j] * b[2][k] for i, j, k in itertools.permutations(range(3)))
+        bound += 4.0 * ((b[0][0] + b[1][1] + b[2][2]) * q + h)
+    if not math.isfinite(bound):
+        raise ConfigError("params",
+                          f"state {jac.tag}: rates too large for a mode analysis: the "
+                          f"largest mode-matrix entry reaches {max(map(max, e)):.3g}, and "
+                          f"the squares or cubic products of the entries overflow")
 
 
 def diffusion_matrix(coeffs) -> DiffusionMatrix:

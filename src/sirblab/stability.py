@@ -35,16 +35,25 @@ a nearly double eigenvalue at large lambda, where roots computed from
 the coefficients lose about half their digits and the block's
 eigenvalues keep them.
 
-Both routes run on the whole spectrum at once: ``classify_state``
-assembles every M_j as one (n, 4, 4) stack, and the eigenvalues, the
-Frobenius norms and the closed forms (stacked determinants for the cubic
-coefficients, stacked eigenvalues of the Z3 blocks) each take one numpy
-call per steady state. The verdicts and the two consistency checks are
-array masks over the modes, with the comparisons and precedence of the
-one-mode rules, so each mode's values and verdict are those of the mode
-computed alone. The resulting ``StabilityReport`` holds per-mode arrays;
-it builds the per-mode ``ModeVerdict`` objects only when ``per_mode``
-(and so ``to_dict``) is asked for, and a sweep never asks.
+Both routes run on the whole spectrum at once, one row per distinct
+eigenvalue: a 2D domain repeats eigenvalues (on the 2 x 1 domain
+(2m pi/2)^2 = (m pi)^2 exactly, so 256 modes hold 179 distinct values),
+and modes sharing a lambda share their mode matrix. ``classify_state``
+assembles the M_j of the distinct lambdas (``ModeSpectrum.distinct_lambdas``)
+as one (k, 4, 4) stack, and the eigenvalues, the Frobenius norms and the
+closed forms (stacked determinants for the cubic coefficients, stacked
+eigenvalues of the Z3 blocks) each take one numpy call per steady state.
+The verdicts and the two consistency checks are array masks over those
+rows, with the comparisons and precedence of the one-mode rules. Every
+step works row by row (LAPACK solves each matrix of a stack alone, and
+the norms, determinants and masks are per row), so a row's values are
+bit for bit those of each of its modes computed alone; the report
+gathers them back into spectrum order, and a consistency error names
+the first mode of the lowest failing row, the lowest failing mode. A 1D
+spectrum has no repeats and skips the gather. The resulting
+``StabilityReport`` holds per-mode arrays; it builds the per-mode
+``ModeVerdict`` objects only when ``per_mode`` (and so ``to_dict``) is
+asked for, and a sweep never asks.
 
 A sweep classifies a few hundred states per second, so the fixed cost
 of a state matters as much as its per-mode cost. The mode indices and
@@ -626,9 +635,12 @@ def classify_state(state, p: ModelParams, diff: DiffusionMatrix,
         jm = jac.matrix
         coupling = math.sqrt(jm[0, 3] ** 2 + jm[1, 3] ** 2 + jm[3, 1] ** 2)
 
-    # Every step runs once on the (n, 4, 4) stack of mode matrices or on
-    # the (n,) arrays of their results; nothing below loops over modes.
-    m = mode_matrix(jac, diff, lam)
+    # Every step runs once on the (k, 4, 4) stack of the mode matrices of
+    # the k distinct eigenvalues or on the (k,) arrays of their results;
+    # nothing below loops over modes. Each step works row by row, so a
+    # row's values are those of each mode sharing its eigenvalue.
+    lam_d, inverse = spectrum.distinct_lambdas()
+    m = mode_matrix(jac, diff, lam_d)
     eigs = eigenvalues4(m)
     max_real = np.max(eigs.real, axis=-1)
     # Frobenius norms summed as np.linalg.norm sums one matrix (a dot
@@ -658,7 +670,9 @@ def classify_state(state, p: ModelParams, diff: DiffusionMatrix,
                     & (np.abs(max_real) > tol + (0.0 if exact else coupling)))
     if mismatch.any() or disagree.any():
         k = int(np.argmax(mismatch | disagree))
-        mode = spectrum[k]
+        # inverse never decreases, so the first mode of the lowest failing
+        # row is the lowest failing mode
+        mode = spectrum[k if inverse is None else int(np.argmax(inverse == k))]
         if mismatch[k]:
             raise ConsistencyError(
                 f"{st.tag} mode {mode.j} (lambda={mode.lam:.6g}): closed-form "
@@ -679,7 +693,13 @@ def classify_state(state, p: ModelParams, diff: DiffusionMatrix,
         overall = "stable"
     else:
         overall = "marginal"
-    turing = bool(verdict[0] == _STABLE and (unstable & (lam > 0.0)).any())
+    turing = bool(verdict[0] == _STABLE and (unstable & (lam_d > 0.0)).any())
+
+    if inverse is not None:  # every mode's row, in spectrum order
+        eigs, max_real, tol, verdict = (a[inverse] for a in (eigs, max_real, tol, verdict))
+        cf_eigs, cubics, cubic_classes, cf_verdicts = (
+            None if a is None else a[inverse]
+            for a in (cf_eigs, cubics, cubic_classes, cf_verdicts))
 
     margins = damping_margins(st.value, p)
     aux = _aux_quantities(base_tag, st, p, jac, margins)

@@ -19,6 +19,12 @@ stays an error in its row. Workers receive those dicts plus the shared
 matrix and spectrum, so the parallel path (one process per ``--jobs``)
 evaluates exactly what the serial path does and the output files are
 byte-identical either way.
+
+With the matrix and spectrum fixed, a state's verdicts depend only on its
+tag and reaction Jacobian, and the extinction state Z1's Jacobian involves
+no infection rate: an axis over those rates repeats it at every point. A
+sweep keeps the three values a row reads per distinct (tag, Jacobian) and
+classifies each pair once (a parallel worker keeps its own, per point).
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ import json
 import os
 
 from .grid import neumann_modes
-from .scenario import (ConfigError, check_mode_products, diffusion_matrix,
-                       parse_coefficients, parse_grid, parse_params)
-from .stability import classify_state
+from .scenario import (ConfigError, check_mode_products, check_state_products,
+                       diffusion_matrix, parse_coefficients, parse_grid, parse_params)
+from .stability import classify_state, jacobian
 from .steady import EndemicBracketError, endemic_exists, solve_endemic, trivial_states
 
 __all__ = ["OUTPUT_COLUMNS", "DEFAULT_OUTPUTS", "evaluate_point", "run_sweep"]
@@ -59,14 +65,36 @@ def _blank_record() -> dict:
     return record
 
 
-def evaluate_point(point_doc: dict, diff, spectrum) -> dict:
+def _summary(state, params, diff, spectrum, memo: dict) -> tuple:
+    """(overall, turing, max_real0) of a state's stability report.
+
+    With ``diff`` and ``spectrum`` fixed, a report's verdicts follow from
+    the state's tag and reaction Jacobian alone, so each distinct pair is
+    classified once per ``memo``. Only the three values a row reads are
+    kept, not the report; an analysis that raises keeps nothing and raises
+    again at the next point that reaches it.
+    """
+    jac = jacobian(state.value, params, state.tag)
+    key = (state.tag, jac.matrix.tobytes())
+    summary = memo.get(key)
+    if summary is None:
+        check_state_products(jac, diff, spectrum)
+        report = classify_state(state, params, diff, spectrum)
+        summary = memo[key] = (report.overall, bool(report.turing),
+                               float(report.max_real[0]))
+    return summary
+
+
+def evaluate_point(point_doc: dict, diff, spectrum, memo: dict | None = None) -> dict:
     """Run steady states + stability for one parameter set.
 
     point_doc holds the point's 'params'; ``diff`` and ``spectrum`` are the
     sweep's DiffusionMatrix and ``neumann_modes(grid, modes)``, which every
-    point shares. Any exception is captured into the record's 'error'
-    field.
+    point shares, and ``memo`` the sweep's dict of state summaries (see
+    ``_summary``; a fresh one when None). Any exception is captured into
+    the record's 'error' field.
     """
+    memo = {} if memo is None else memo
     record = _blank_record()
     try:
         params = parse_params(point_doc)
@@ -85,26 +113,24 @@ def evaluate_point(point_doc: dict, diff, spectrum) -> dict:
         states.extend(endemic)
 
         present = {tag: False for tag in _STATE_TAGS}
-        endemic_reports = []
+        endemic_summaries = []
         for state in states:
-            report = classify_state(state, params, diff, spectrum)
+            summary = _summary(state, params, diff, spectrum, memo)
             family = state.tag.split("-")[0]
             present[family] = True
             if family == "Z4":
-                endemic_reports.append((state, report))
+                endemic_summaries.append((state, summary))
             else:
-                record[f"{family}.overall"] = report.overall
-                record[f"{family}.turing"] = bool(report.turing)
-                record[f"{family}.max_real0"] = float(report.max_real[0])
+                (record[f"{family}.overall"], record[f"{family}.turing"],
+                 record[f"{family}.max_real0"]) = summary
         for tag in ("Z1", "Z2", "Z3"):
             record[f"{tag}.exists"] = present[tag]
-        record["Z4.exists"] = bool(endemic_reports)
-        record["Z4.count"] = len(endemic_reports)
-        if endemic_reports:
-            record["Z4.turing"] = any(bool(r.turing) for _, r in endemic_reports)
-            top = max(endemic_reports, key=lambda sr: sr[0].i)
-            record["Z4.overall"] = top[1].overall
-            record["Z4.max_real0"] = float(top[1].max_real[0])
+        record["Z4.exists"] = bool(endemic_summaries)
+        record["Z4.count"] = len(endemic_summaries)
+        if endemic_summaries:
+            record["Z4.turing"] = any(turing for _, (_, turing, _) in endemic_summaries)
+            _, (record["Z4.overall"], _, record["Z4.max_real0"]) = max(
+                endemic_summaries, key=lambda ss: ss[0].i)
     except Exception as e:  # recorded in-row so the sweep survives bad corners
         record["error"] = f"{type(e).__name__}: {e}"
     return record
@@ -152,13 +178,17 @@ def run_sweep(base: dict, axes, outputs, modes: int, out_dir: str,
     if unknown:
         raise ConfigError("outputs", f"unknown outputs: {', '.join(unknown)}; "
                                      f"available: {', '.join(OUTPUT_COLUMNS)}")
+    for k, name in enumerate(outputs):
+        if name in outputs[:k]:
+            raise ConfigError(f"outputs[{k}]", f"duplicate output {name!r}")
     os.makedirs(out_dir, exist_ok=True)
 
     names = [name for name, _ in axes]
     combos = list(itertools.product(*(values for _, values in axes)))
     points = [{"params": {**base["params"], **dict(zip(names, combo))}}
               for combo in combos]
-    evaluate = functools.partial(evaluate_point, diff=diff, spectrum=spectrum)
+    # A parallel worker gets its own empty copy of the memo with each point.
+    evaluate = functools.partial(evaluate_point, diff=diff, spectrum=spectrum, memo={})
 
     workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers > 1:

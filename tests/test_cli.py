@@ -666,6 +666,36 @@ def test_lengths_whose_mode_products_overflow_exit_2(tmp_path, command, length, 
         assert "Warning" not in proc.stderr
 
 
+def _turing_point_stability(tmp_path, **rates):
+    doc = json.loads((SCENARIOS / "turing_point.json").read_text())
+    doc["params"].update(rates)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sirblab.cli", "stability",
+         "--config", write_json(tmp_path, "cfg.json", doc), "--modes", "8"],
+        env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("rate", ["xi", "sigma", "beta1"])
+def test_rates_whose_mode_norms_overflow_exit_2(tmp_path, rate):
+    # At 1e160 a squared entry overflows, tol becomes inf and every mode
+    # read marginal (Z1's max real part is +3.34); the state is refused first.
+    proc = _turing_point_stability(tmp_path, **{rate: 1e160})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: params: state Z")
+    assert "rates too large for a mode analysis" in proc.stderr
+
+
+@pytest.mark.parametrize("rate", ["xi", "sigma", "beta1"])
+def test_large_rates_whose_products_stay_finite_still_analyse(tmp_path, rate):
+    proc = _turing_point_stability(tmp_path, **{rate: 1e110})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["reports"]
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------
@@ -675,3 +705,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert e.value.code == 0
     assert capsys.readouterr().out.startswith("sirblab ")
+
+
+def test_sweep_repeated_output_exits_2(tmp_path, capsys):
+    doc = sweep_doc([{"param": "beta2", "values": [0.5]}], ["Z1.overall", "Z1.overall"])
+    cfg = write_json(tmp_path, "sweep.json", doc)
+    out = tmp_path / "o"
+    rc, _, stderr = run_cli(capsys, "sweep", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert stderr.startswith("config error: outputs[1]: duplicate output 'Z1.overall'")
+    assert not out.exists()

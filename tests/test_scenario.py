@@ -9,6 +9,9 @@ import pytest
 from sirblab import grid as grid_module
 from sirblab import kernels
 from sirblab.integrator import BumpInit, ModeInit, RandomInit, SimConfig
+from sirblab.model import ModelParams
+from sirblab.stability import DiffusionMatrix, jacobian
+from sirblab.steady import trivial_states
 from sirblab.scenario import (
     DEFAULT_MODE_COUNT,
     LENGTH_RANGE,
@@ -18,6 +21,7 @@ from sirblab.scenario import (
     ConfigError,
     analysis_mode_count,
     build_sim_config,
+    check_state_products,
     diffusion_matrix,
     load_json,
     parse_coefficients,
@@ -554,3 +558,17 @@ def test_sweep_roundtrips_through_json():
     text = json.dumps(sweep_doc())
     base, axes, outputs, name = parse_sweep(json.loads(text))
     assert len(axes) == 2
+
+
+def test_cubic_products_are_bounded_where_the_squares_are_not_enough():
+    # Entries of 1e104 in the (S, I, R) block: every square is finite, but
+    # the Z3 cubic's p*q would overflow. Z1 and Z2 form no cubic.
+    p = ModelParams(**{**REF, "sigma": 1e104, "gamma": 1e104, "d3": 1e104})
+    diff = DiffusionMatrix(0.05, 0.05, 0.05, 0.01)
+    spectrum = grid_module.neumann_modes(grid_module.Grid((2.0,), (64,)), 8)
+    z1, z2, z3 = trivial_states(p)
+    with pytest.raises(ConfigError,
+                       match=r"^params: state Z3: rates too large for a mode analysis"):
+        check_state_products(jacobian(z3.value, p, z3.tag), diff, spectrum)
+    for z in (z1, z2):
+        check_state_products(jacobian(z.value, p, z.tag), diff, spectrum)

@@ -836,3 +836,105 @@ def test_crosscheck_flags_a_deviation_just_past_the_allowance(monkeypatch):
     monkeypatch.setattr(stability, "_closed_form", lambda *a: nudged(*a, factor=1.5))
     with pytest.raises(ConsistencyError, match=r"^Z1 mode 5 .* deviate from numeric ones by "):
         classify_state(state, p, DIFF, spectrum)
+
+
+# ---------------------------------------------------------------------------
+# One mode analysis per distinct eigenvalue
+# ---------------------------------------------------------------------------
+
+def _damped_2d(modes=256):
+    doc = json.loads((SCENARIOS / "damped_2d.json").read_text())
+    c = doc["coefficients"]
+    diff = DiffusionMatrix(*(c[k]["value"] for k in ("a1", "a2", "a3", "a4")))
+    grid = Grid(tuple(doc["grid"]["lengths"]), tuple(doc["grid"]["cells"]))
+    return ModelParams.from_dict(doc["params"]), diff, neumann_modes(grid, modes)
+
+
+def test_distinct_lambdas_map_back_to_every_mode():
+    _, _, spectrum = _damped_2d()
+    lam = spectrum.lambdas()
+    distinct, inverse = spectrum.distinct_lambdas()
+    assert spectrum.distinct_lambdas() is spectrum.distinct_lambdas()  # built once
+    assert len(distinct) < len(lam)  # the square repeats eigenvalues
+    assert np.array_equal(distinct[inverse], lam)
+    assert (np.diff(distinct) > 0.0).all() and (np.diff(inverse) >= 0).all()
+    assert not distinct.flags.writeable and not inverse.flags.writeable
+    # a 1D spectrum has no repeats: its own array, and nothing to gather
+    line = _spectrum(64)
+    assert line.distinct_lambdas() == (line.lambdas(), None)
+
+
+@pytest.mark.parametrize("rates", ["damped", "reference"])
+def test_distinct_lambda_report_equals_the_full_stack(monkeypatch, rates):
+    # damped_2d's unit square at 256 modes: every report array is, bit for
+    # bit, what the (256, 4, 4) stack of all listed modes gives, while the
+    # eigen-solve sees each distinct eigenvalue once
+    p, diff, spectrum = _damped_2d()
+    if rates == "reference":  # all four families, with the cubic closed forms
+        p = make_params()
+    distinct, _ = spectrum.distinct_lambdas()
+    rows = []
+    original = stability.eigenvalues4
+
+    def spy(m):
+        rows.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(stability, "eigenvalues4", spy)
+    states = all_steady_states(p)
+    assert [st.tag for st in states] == (["Z1"] if rates == "damped"
+                                         else ["Z1", "Z2", "Z3", "Z4-branch-S2"])
+    for st in states:
+        rep = classify_state(st, p, diff, spectrum)
+        base_tag = "Z4" if st.tag.startswith("Z4") else st.tag
+        jac = jacobian(st.value, p, tag=st.tag)
+        m = mode_matrix(jac, diff, spectrum.lambdas())
+        eigs = original(m)
+        max_real = np.max(eigs.real, axis=-1)
+        tol = MARGINAL_RTOL * (1.0 + np.array([np.linalg.norm(mk) for mk in m]))
+        cf_eigs, cubics, classes, cf_verdicts, _ = stability._closed_form(
+            base_tag, jac, m, tol)
+        assert np.array_equal(rep.eigenvalues, eigs)
+        assert np.array_equal(rep.max_real, max_real)
+        assert np.array_equal(rep.tol, tol)
+        assert np.array_equal(rep.verdict, stability._verdicts(max_real, tol))
+        for got, expect in ((rep.closed_form_eigs, cf_eigs), (rep.cubic, cubics),
+                            (rep.cubic_class, classes), (rep.closed_form_class, cf_verdicts)):
+            assert (got is None) == (expect is None)
+            assert expect is None or np.array_equal(got, expect)
+    assert rows == [len(distinct)] * len(states)
+
+
+@pytest.mark.parametrize("corrupt", ["eigenvalues", "verdicts"])
+def test_corrupted_closed_form_on_repeated_lambdas_names_the_lowest_mode(monkeypatch,
+                                                                        corrupt):
+    # Modes 4 and 5 of the unit square share lambda = 4 pi^2. The closed
+    # form is corrupted at the eigenvalues of modes 5 and 9; mode 4 is the
+    # lowest mode whose closed form is then wrong.
+    p = make_params()
+    spectrum = neumann_modes(Grid((1.0, 1.0), (16, 16)), 32)
+    lam = spectrum.lambdas()
+    assert lam[4] == lam[5] and lam[3] < lam[4]
+    original = stability._closed_form
+
+    def corrupted(tag, jac, m, tol):
+        eigs, cubics, classes, verdicts, exact = original(tag, jac, m, tol)
+        rows = np.flatnonzero((m[:, 0, 0] == jac.matrix[0, 0] - lam[5] * DIFF.a1)
+                              | (m[:, 0, 0] == jac.matrix[0, 0] - lam[9] * DIFF.a1))
+        if corrupt == "eigenvalues":
+            eigs = eigs.copy()
+            eigs[rows, 0] += 1.0
+        else:
+            flip = {"stable": "unstable", "unstable": "stable"}
+            verdicts = [flip[v] if k in rows else v for k, v in enumerate(verdicts)]
+        return eigs, cubics, classes, verdicts, exact
+
+    monkeypatch.setattr(stability, "_closed_form", corrupted)
+    tag = "Z1" if corrupt == "eigenvalues" else "Z2"
+    if corrupt == "eigenvalues":
+        message = (f"Z1 mode 4 (lambda={lam[4]:.6g}): closed-form eigenvalues "
+                   f"deviate from numeric ones by 1.000e+00")
+    else:
+        message = f"Z2 mode 4 (lambda={lam[4]:.6g}): closed-form route says "
+    with pytest.raises(ConsistencyError, match="^" + re.escape(message)):
+        classify_state(_states_by_tag(p)[tag], p, DIFF, spectrum)

@@ -263,3 +263,88 @@ def test_bad_base_grid_raises_before_any_output(tmp_path):
             run_sweep(base, [("beta2", [0.4, 0.5])], outputs, 32, str(out))
         assert e.value.path == "grid.cells[0]"
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# One classification per distinct (state tag, Jacobian) in a sweep
+# ---------------------------------------------------------------------------
+
+def _counting_classify(monkeypatch):
+    calls = []
+    original = sweep.classify_state
+
+    def counting(state, *args):
+        calls.append(state.tag)
+        return original(state, *args)
+
+    monkeypatch.setattr(sweep, "classify_state", counting)
+    return calls
+
+
+def _one_point_at_a_time(monkeypatch):
+    original = sweep.evaluate_point
+    monkeypatch.setattr(sweep, "evaluate_point",
+                        lambda point, diff, spectrum, memo: original(point, diff, spectrum))
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_a_sweep_classifies_each_distinct_state_once(tmp_path, monkeypatch):
+    # Z1's Jacobian involves no infection rate, so a beta2 axis leaves it
+    # one matrix; every file equals that of points evaluated one at a time.
+    axes = [("beta2", [0.4, 0.45, 0.5, 0.55, 0.6, 2.0])]
+    calls = _counting_classify(monkeypatch)
+    run_sweep(base_doc(), axes, list(OUTPUT_COLUMNS), 32, str(tmp_path / "memo"))
+    assert calls.count("Z1") == 1
+    assert calls.count("Z2") == 6
+    calls.clear()
+    _one_point_at_a_time(monkeypatch)
+    run_sweep(base_doc(), axes, list(OUTPUT_COLUMNS), 32, str(tmp_path / "apart"))
+    assert calls.count("Z1") == 6
+    assert _files(tmp_path / "memo") == _files(tmp_path / "apart")
+
+
+def test_an_analysis_that_raises_is_not_cached(tmp_path, monkeypatch):
+    # xi = 1e160 overflows the mode norms of every state: each point raises
+    # again and records the same in-row error (beta2 stays below the
+    # endemic threshold, 0.4, so no endemic root is sought).
+    base = base_doc()
+    base["params"]["xi"] = 1e160
+    checked = []
+    original = sweep.check_state_products
+
+    def counting(jac, *args):
+        checked.append(jac.tag)
+        return original(jac, *args)
+
+    monkeypatch.setattr(sweep, "check_state_products", counting)
+    run_sweep(base, [("beta2", [0.1, 0.2, 0.3])], ["Z1.overall"], 32, str(tmp_path))
+    assert checked == ["Z1"] * 3
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    errors = {line.split(",", 2)[2] for line in lines[1:]}
+    assert len(errors) == 1
+    assert errors.pop().startswith('"ConfigError: params: state Z1: rates too large for a mode')
+
+
+def test_overflowing_mode_norms_are_an_in_row_error_without_warnings(tmp_path):
+    doc = {"name": "overflow", "base": {**base_doc(), "params": {**REF, "xi": 1e160}},
+           "axes": [{"param": "beta2", "values": [0.3]}], "outputs": ["Z1.overall"]}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(sweep.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sirblab.cli", "sweep", "--config", str(cfg),
+         "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    row = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1]
+    assert row.startswith('0.3,,"ConfigError: params: state Z1: rates too large for a mode analysis')
+
+
+def test_a_repeated_output_is_rejected_before_any_file(tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match=r"^outputs\[2\]: duplicate output 'Z1.overall'"):
+        run_sweep(base_doc(), [], ["Z1.overall", "Z2.overall", "Z1.overall"], 32, str(out))
+    assert not out.exists()
