@@ -91,6 +91,28 @@ change, shows that this VM's speed moved by half between runs. Best of
 seven 200-call loops, four runs alternating: 296-328 us against 284-305
 us, about 4% slower: one more call per square root.)
 
+Layers of a variable-coefficient CG iteration, on the 96x96 cosine
+profile of the solve rows prepared as smooth, as a run prepares it
+(dt 5/32): one application of (I - dt*D) and one of the S M S
+preconditioner in float32, each the median of 200-call loops in a fresh
+process of this script (``--layer LABEL``). Six fresh processes per
+row, the two sides alternating, median [range]::
+
+                                        before               after
+    helmholtz      cosine 96x96   149.3 [143-153] us    68.1 [56-69] us
+    precondition   cosine 96x96   173.1 [129-175] us   119.8 [100-122] us
+
+"Before" applied the stencil with strided y passes, which zero-filled
+two flux arrays and made about eight temporaries per call, and the
+preconditioner with fresh float32 and float64 arrays per call; "after"
+is the flat stencil and the preconditioner writing into the run's
+scratch arrays. (The "before" rows are the same calls spelled for the
+parent's functions.) In one process, after other work, the same
+Helmholtz application read 75-79 against 52-56 us. In a fresh process
+the strided form's per-call arrays fault their pages in again and
+again: a process timing 2,000 applications took about 39,000 minor
+page faults before and 3,900 after, most of the latter its imports.
+
 Time stepping, on the start of scenarios/turing_point.json (64 cells,
 four constant coefficients, dt from stability_dt), on a 96x96 state with
 the damped rates of scenarios/damped_2d.json, cosine and gaussian
@@ -146,7 +168,7 @@ import time
 
 import numpy as np
 
-from sirblab import integrator
+from sirblab import integrator, kernels
 from sirblab.grid import Grid, neumann_modes
 from sirblab.kernels import cg_solve, prepare_coefficient, stack_coefficients
 from sirblab.model import ModelParams
@@ -254,11 +276,30 @@ def step_row(label, repeats):
     return f"{'step':14s} {label:14s} {fmt(t):>11s}"
 
 
-def step_rows(repeats):
-    """Each step row from a fresh process of this script: within one process
-    a row's time depends on what earlier rows allocated."""
-    for label in STEP_LABELS:
-        proc = subprocess.run([sys.executable, __file__, "--step", label,
+LAYER_LABELS = ("helmholtz", "precondition")
+
+
+def layer_row(label, repeats):
+    """The timing row of one application of (I - dt*D) or of the S M S
+    preconditioner on the 96x96 cosine profile, prepared as a run prepares
+    it: smooth, with its own scratch arrays."""
+    b, a, hx, hy = problem((96, 96), True)
+    c = prepare_coefficient(a, hx, hy, smooth=True, scratch=kernels.Scratch())
+    dt = 5.0 / 32.0
+    if label == "helmholtz":
+        fn = lambda: kernels._helmholtz(b, c.weights, dt, hx, hy, c.scratch)
+    else:
+        precondition = kernels._mean_coefficient_solver(c, dt, hx, hy, c.scratch)
+        fn = lambda: precondition(b)
+    t = per_call(fn, repeats, 200)
+    return f"{label:14s} {'cosine 96x96':14s} {fmt(t):>11s}"
+
+
+def fresh_rows(option, labels, repeats):
+    """Each row from a fresh process of this script: within one process a
+    row's time depends on what earlier rows allocated."""
+    for label in labels:
+        proc = subprocess.run([sys.executable, __file__, option, label,
                                "--repeats", str(repeats)],
                               capture_output=True, text=True, check=True)
         print(proc.stdout, end="")
@@ -272,9 +313,14 @@ def main():
     ap.add_argument("--dt", type=float, default=5.0 / 32.0)
     ap.add_argument("--step", choices=STEP_LABELS,
                     help="time only this step row (as each fresh process does)")
+    ap.add_argument("--layer", choices=LAYER_LABELS,
+                    help="time only this layer row (as each fresh process does)")
     args = ap.parse_args()
     if args.step:
         print(step_row(args.step, args.repeats))
+        return
+    if args.layer:
+        print(layer_row(args.layer, args.repeats))
         return
 
     print(f"{'grid':9s} {'coefficient':11s} {'time':>11s} {'iters':>6s} {'relres':>9s}")
@@ -326,7 +372,8 @@ def main():
     print(f"{'SteadyState.make':16s} {'turing_point':14s} {fmt(t):>11s}")
 
     print()
-    step_rows(args.repeats)
+    fresh_rows("--layer", LAYER_LABELS, args.repeats)
+    fresh_rows("--step", STEP_LABELS, args.repeats)
     cases = [(label, *step_case(label)) for label in STEP_LABELS]
     for name, fn in (("positivity", lambda s: integrator._check_positivity(s.values, s.t)),
                      ("sup_norms", lambda s: s.sup_norms())):

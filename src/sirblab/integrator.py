@@ -15,7 +15,8 @@ scaled by (a/mean)^(-1/4) on both sides (on the 96x96 profiles of the
 hetero-2d benchmark, about ten iterations a solve where the plain one
 takes fifteen); ``cells`` data may be rough and keeps the plain one.
 ``_drive`` builds a ``SolverPlan`` once per run: each coefficient
-prepared by the kernels (constant or not, mean, scaling, axis spectra),
+prepared by the kernels (constant or not, mean, face weights, scaling,
+axis spectra, and one set of work arrays for all the solves),
 the stack of the species with a constant coefficient, and the rates as
 0-d arrays for the reaction terms. The stacked species share one grid
 and one dt, so a step solves them as one stack (one transform pair and
@@ -397,9 +398,11 @@ class SolverPlan:
     before its first state and passed to every ``step`` of the run.
 
     ``species`` holds each diffusion coefficient as ``kernels`` prepared
-    it: whether it is constant, the mean of a variable one, the
-    preconditioner scaling of a ``profile`` one (the only kind that is
-    smooth by construction), and the grid's spectrum. The species with a
+    it: whether it is constant, the mean and face weights of a variable
+    one, the preconditioner scaling of a ``profile`` one (the only kind
+    that is smooth by construction), and the grid's spectrum. They share
+    one ``kernels.Scratch``, whose work arrays every solve of the run
+    reuses, since the species are solved one at a time. The species with a
     constant coefficient, ``stacked``, share one grid and one dt, so a
     step solves them as one stack, ``stack``; every other species is
     solved alone. ``gather`` indexes the stack in the state: a slice when
@@ -423,8 +426,9 @@ class SolverPlan:
 def _solver_plan(cfg: SimConfig) -> SolverPlan:
     """Prepare the run's diffusion coefficients for the implicit solves."""
     hx, hy = kernels.spacing_2d(cfg.grid)
+    scratch = kernels.Scratch()  # the species are solved one at a time
     species = tuple(kernels.prepare_coefficient(kernels.as_2d(c.materialize(cfg.grid)), hx, hy,
-                                                smooth=c.kind == "profile")
+                                                smooth=c.kind == "profile", scratch=scratch)
                     for c in cfg.coefficients)
     stacked = tuple(k for k, c in enumerate(species) if c.constant)
     stack = kernels.stack_coefficients([species[k] for k in stacked]) if stacked else None

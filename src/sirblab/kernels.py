@@ -9,10 +9,25 @@ divergence is assembled as
 
     out = (fxE - fxW)/hx^2 + (fyN - fyS)/hy^2
 
-with a literal zero for the flux across a boundary face. Each face flux
-is computed once from the two cells it separates, so mirroring u and a
-reverses every flux sign exactly and the output is bitwise
-mirror-symmetric.
+with a +0.0 flux across every boundary face. Each face flux is computed
+once from the two cells it separates, so mirroring u and a reverses
+every flux sign exactly and the output is bitwise mirror-symmetric.
+
+The stencil runs on the flat C-order field, so every pass is contiguous:
+x faces join cells ny apart, y faces join flat neighbours. The flat y
+pass also crosses from the end of one row to the start of the next,
+where there is no face; the flux there is written as +0.0 after the
+pass, which left a weight times the difference of two cells that share
+no face (not zero for a stack's constant weight, and -0.0 for the zero
+weight of a variable field and a negative difference). Per
+cell it makes the same float operations, in the same order, as the
+(nx, ny) form with strided y views, so the bits are the same. At 96x96
+(2 vCPU VM, one BLAS thread) one strided y difference takes about 12 us,
+an x difference 5.8 us and a flat one 4.0 us. A whole (I - dt*D)
+application took 52-56 against 75-79 us with the strided form (in one
+process, the two alternating), which also zero-filled two flux arrays
+and made eight temporaries per call; ``benchmarks/bench_kernels.py``
+gives the same row timed alone in fresh processes.
 
 The implicit step solves (I - dt*D) x = b by preconditioned conjugate
 gradients. D is symmetric negative semidefinite, so the system matrix is
@@ -89,9 +104,16 @@ too: a cosine with 60 half-waves per axis on 96 cells takes 16 against
 or benchmark workload has one.
 
 A coefficient is prepared once for many solves (``prepare_coefficient``):
-the constant test, the mean of a variable field, its scaling when it is
-smooth, and the grid's spectrum; the face weights of a variable field
-are built per solve. Constant coefficients on one grid form a stack
+the constant test, the mean of a variable field, its flat face weights,
+its scaling when it is smooth, and the grid's spectrum. A run's
+coefficients share one ``Scratch``: the flux arrays of the stencil (whose
+boundary faces are zeroed once), its output, the CG vectors and the
+float32 buffers of the preconditioner, made at the first solve and
+reused by every later one, so a CG iteration allocates nothing. The
+species are solved one at a time, so one set serves them all; nothing a
+solve returns is a scratch array. Without a Scratch (a raw field, or
+coefficients prepared without one) each solve makes its own.
+Constant coefficients on one grid form a stack
 (``stack_coefficients``), solved by one ``cg_solve`` call on an
 (m, nx, ny) stack of right-hand sides: one forward transform, one scaling
 by 1/(1 + dt*a_k*lam_h), one inverse transform and one stencil residual
@@ -118,6 +140,7 @@ __all__ = [
     "Coefficients",
     "prepare_coefficient",
     "stack_coefficients",
+    "Scratch",
     "diffusion_apply",
     "helmholtz_apply",
     "cg_solve",
@@ -160,32 +183,105 @@ def _face_weights(a):
     return wx, 0.5 * (a[:, :-1] + a[:, 1:])
 
 
-def _divergence(u, weights, hx, hy):
-    """div(a grad u) from precomputed face weights; boundary fluxes are zero.
+def _flat_weights(a):
+    """``_face_weights`` of a 2D field in the stencil's flat layout: the x
+    weights as they are, the y weights with a 0.0 at each row crossing."""
+    wx, wy = _face_weights(a)
+    if wy is None:
+        return wx.reshape(-1), None
+    nx, ny = a.shape
+    flat = np.zeros(nx * ny)
+    flat.reshape(nx, ny)[:, :-1] = wy
+    return wx.reshape(-1), flat[:-1]
 
-    ``u`` is one (nx, ny) field or a stack of them, (m, nx, ny); a stack
-    takes per-member constant weights of shape (m, 1, 1).
+
+class Scratch:
+    """Work arrays of the solves on one grid, made on first use and reused
+    by every later solve given the same Scratch (``prepare_coefficient``).
+
+    Solves that share a Scratch must run one at a time. Nothing a solve
+    returns is one of these arrays; the stencil and the preconditioner
+    return theirs, valid until their next call.
+    """
+
+    def __init__(self):
+        self._stencil = self._vectors = None
+
+    def stencil(self, m, nx, ny):
+        """Views into the stencil's arrays for m stacked (nx, ny) fields:
+        the interior x faces, the x fluxes above and below each cell, the
+        same three of y (None when ny is 1) with the y faces at row
+        crossings, a temporary and the output. The fluxes are flat
+        (m, nx*ny + ny) and (m, nx*ny + 1) arrays whose boundary faces
+        stay +0.0."""
+        s = self._stencil
+        if s is None or s[0] < m or s[1] != (nx, ny):
+            n = nx * ny
+            fx = np.zeros((m, n + ny))
+            views = [fx[:, ny:n], fx[:, ny:], fx[:, :n]]
+            if ny > 1:
+                fy = np.zeros((m, n + 1))
+                views += [fy[:, 1:n], fy[:, 1:], fy[:, :n], fy[:, ny:n:ny]]
+            else:
+                views += [None] * 4
+            s = self._stencil = (m, (nx, ny), *views, np.empty((m, n)), np.empty((m, n)))
+        if s[0] == m:
+            return s[2:]
+        return tuple(None if v is None else v[:m] for v in s[2:])
+
+    def vectors(self, shape):
+        """(r, p, z) in float64 and two float32 arrays, all of one field's
+        shape: the CG residual, direction and preconditioned residual, and
+        the preconditioner's buffers."""
+        v = self._vectors
+        if v is None or v[0].shape != shape:
+            v = self._vectors = tuple(np.empty(shape) for _ in range(3)) + tuple(
+                np.empty(shape, np.float32) for _ in range(2))
+        return v
+
+
+def _divergence(u, weights, hx, hy, work=None):
+    """div(a grad u) from flat face weights; boundary fluxes are zero.
+
+    ``u`` is one (nx, ny) field or a stack of them, (m, nx, ny), and
+    ``weights`` its ``_flat_weights``, or a pair of per-member constants
+    of shape (m, 1). The result is ``work``'s output array (a fresh
+    Scratch's when ``work`` is None), in the shape of ``u``.
     """
     wx, wy = weights
     nx, ny = u.shape[-2:]
-    fx = np.zeros(u.shape[:-2] + (nx + 1, ny))
-    np.multiply(wx, u[..., 1:, :] - u[..., :-1, :], out=fx[..., 1:-1, :])
-    out = (fx[..., 1:, :] - fx[..., :-1, :]) / (hx * hx)
+    flat = u.reshape(-1, nx * ny)
+    x_in, x_hi, x_lo, y_in, y_hi, y_lo, crossings, tmp, out = (
+        work or Scratch()).stencil(flat.shape[0], nx, ny)
+    np.subtract(flat[:, ny:], flat[:, :-ny], out=x_in)  # cells ny apart
+    x_in *= wx
+    np.subtract(x_hi, x_lo, out=out)
+    out /= hx * hx
     if ny > 1:  # a 1D field has no y faces
-        fy = np.zeros(u.shape[:-1] + (ny + 1,))
-        np.multiply(wy, u[..., 1:] - u[..., :-1], out=fy[..., 1:-1])
-        out += (fy[..., 1:] - fy[..., :-1]) / (hy * hy)
-    return out
+        np.subtract(flat[:, 1:], flat[:, :-1], out=y_in)  # flat neighbours
+        y_in *= wy
+        crossings[...] = 0.0  # no face between rows: a +0.0 flux
+        np.subtract(y_hi, y_lo, out=tmp)
+        tmp /= hy * hy
+        out += tmp
+    return out.reshape(u.shape)
+
+
+def _helmholtz(v, weights, dt, hx, hy, work=None):
+    """(I - dt*D) v, in the stencil's output array."""
+    out = _divergence(v, weights, hx, hy, work)
+    out *= dt
+    return np.subtract(v, out, out=out)
 
 
 def diffusion_apply(u, a, hx, hy):
     """div(a grad u), zero-flux boundaries, second order flux form."""
-    return _divergence(u, _face_weights(a), hx, hy)
+    return _divergence(u, _flat_weights(a), hx, hy)
 
 
 def helmholtz_apply(x, a, dt, hx, hy):
     """(I - dt*D) x for the implicit diffusion step."""
-    return x - dt * diffusion_apply(x, a, hx, hy)
+    return _helmholtz(x, _flat_weights(a), dt, hx, hy)
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +338,25 @@ def _single_basis(shape, hx, hy) -> tuple:
     return tuple(out)
 
 
-def _spectral(r, inv, basis):
-    """C ((C^T r) * inv) over the last two axes of one field or a stack."""
+def _spectral(r, inv, basis, buffers=(None, None, None)):
+    """C ((C^T r) * inv) over the last two axes of one field or a stack.
+
+    ``buffers`` are two intermediates and the output, each of r's shape
+    and dtype (fresh arrays where None); r itself may serve as the second
+    intermediate and the output.
+    """
     cx, cy = basis
+    t1, t2, out = buffers
     if cy is None:
-        return cx @ ((cx.T @ r) * inv)
-    return cx @ ((cx.T @ r @ cy) * inv) @ cy.T
+        t = np.matmul(cx.T, r, out=t1)
+        t *= inv
+        return np.matmul(cx, t, out=out)
+    t = np.matmul(np.matmul(cx.T, r, out=t1), cy, out=t2)
+    t *= inv
+    return np.matmul(np.matmul(cx, t, out=t1), cy.T, out=out)
 
 
-def _mean_coefficient_solver(a, dt, hx, hy):
+def _mean_coefficient_solver(a, dt, hx, hy, work=None):
     """r -> M r, or S M S r for a field prepared as smooth: the
     preconditioner of a variable coefficient (``Coefficients`` or a raw
     field), with M = (I - dt*abar*D_1)^{-1} and D_1 the unit-coefficient
@@ -258,21 +364,25 @@ def _mean_coefficient_solver(a, dt, hx, hy):
 
     M runs in float32 (the module docstring gives the rounding argument):
     inv is computed in float64 and rounded once, r (or S r) is rounded into
-    one reused float32 buffer, and the result is widened back to float64.
+    a float32 buffer, and the result is widened back to float64. Every
+    array it writes, the result included, is ``work``'s (a fresh
+    Scratch's when None).
     """
     c = a if isinstance(a, Coefficients) else prepare_coefficient(a, hx, hy)
     inv = (1.0 / (1.0 + (dt * c.scale) * c.lam)).astype(np.float32)
     s = c.scaling
     basis = _single_basis(c.field.shape, hx, hy)
-    buf = np.empty(c.field.shape, np.float32)
+    _, _, z, buf, t = (work or Scratch()).vectors(c.field.shape)
+    buffers = (t, buf, buf)
     if s is None:
         def precondition(v):
             np.copyto(buf, v, casting="same_kind")
-            return _spectral(buf, inv, basis).astype(np.float64)
+            np.copyto(z, _spectral(buf, inv, basis, buffers))
+            return z
     else:
         def precondition(v):
             np.multiply(s, v, out=buf, casting="same_kind")
-            return s * _spectral(buf, inv, basis)
+            return np.multiply(s, _spectral(buf, inv, basis, buffers), out=z)
     return precondition
 
 
@@ -281,24 +391,28 @@ class Coefficients:
     """Diffusion coefficients on one grid, prepared once for many solves.
 
     Either a stack of m constants (``constant`` True; ``scale`` holds the
-    values, shape (m, 1, 1), which are also every face weight) or one
-    variable field (``scale`` is its mean, ``field`` the 2D field, whose
-    face weights each solve builds).
+    values, shape (m, 1, 1)) or one variable field (``scale`` is its mean,
+    ``field`` the 2D field). ``weights`` are the stencil's face weights:
+    the values again, shape (m, 1), or the field's ``_flat_weights``.
     ``basis`` and ``lam`` are the grid's spectrum (``_grid_spectrum``); the
     preconditioner at coefficient c solves with 1 / (1 + dt*c*lam).
     ``scaling`` is S = (field/scale)^(-1/4) for a variable field prepared
     as smooth, whose preconditioner is then S M S; it is None otherwise.
+    ``scratch`` is the ``Scratch`` its solves work in, or None for fresh
+    arrays at every solve.
     """
 
     constant: bool
     scale: object
     field: np.ndarray | None
+    weights: tuple
     basis: tuple
     lam: np.ndarray
     scaling: np.ndarray | None = None
+    scratch: Scratch | None = None
 
 
-def prepare_coefficient(a, hx, hy, smooth=False) -> Coefficients:
+def prepare_coefficient(a, hx, hy, smooth=False, scratch=None) -> Coefficients:
     """One 2D coefficient field, tested for constancy once: a stack of one
     if ``a.min() == a.max()``, else a variable field.
 
@@ -306,42 +420,54 @@ def prepare_coefficient(a, hx, hy, smooth=False) -> Coefficients:
     (an analytic profile), so the balanced preconditioner pays off: its
     scaling (``Coefficients.scaling``) is computed here, once. A rough
     field must keep the default, whose preconditioner ignores where the
-    coefficient is large (see the module docstring).
+    coefficient is large (see the module docstring). ``scratch`` is kept
+    for the solves (``Coefficients.scratch``); coefficients of one grid
+    may share one.
     """
     basis, lam = _grid_spectrum(a.shape, hx, hy)
     value = a.min()
     if value == a.max():
-        return Coefficients(True, np.full((1, 1, 1), float(value)), None, basis, lam)
+        scale = np.full((1, 1, 1), float(value))
+        w = scale.reshape(1, 1)
+        return Coefficients(True, scale, None, (w, w), basis, lam, None, scratch)
     mean = float(a.sum()) / a.size
     scaling = (a / mean) ** -0.25 if smooth else None
-    return Coefficients(False, mean, a, basis, lam, scaling)
+    return Coefficients(False, mean, a, _flat_weights(a), basis, lam, scaling, scratch)
 
 
 def stack_coefficients(members) -> Coefficients:
-    """One stack of the constant coefficients ``members``, on one grid."""
+    """One stack of the constant coefficients ``members``, on one grid; it
+    works in the first member's scratch."""
     scale = np.concatenate([m.scale for m in members])
-    return Coefficients(True, scale, None, members[0].basis, members[0].lam)
+    w = scale.reshape(-1, 1)
+    first = members[0]
+    return Coefficients(True, scale, None, (w, w), first.basis, first.lam, None, first.scratch)
 
 
 # ---------------------------------------------------------------------------
 # implicit solve
 # ---------------------------------------------------------------------------
 
-def _pcg(x, r, rs, helmholtz, precondition, target, it, maxiter):
+def _pcg(x, r, rs, helmholtz, precondition, target, it, maxiter, p):
     """Carry preconditioned CG on from x, whose residual r has r.r = rs,
-    after ``it`` iterations; returns (x, iterations, r.r)."""
+    after ``it`` iterations; returns (x, iterations, r.r).
+
+    x and r are updated in place and p is the search direction's buffer.
+    ``helmholtz`` and ``precondition`` may return the same array at every
+    call; the loop writes only into x, r, p and what ``helmholtz`` returned.
+    """
     z = precondition(r)
     rz = float(np.dot(r.ravel(), z.ravel()))
-    p = z
+    np.copyto(p, z)
     for it in range(it + 1, int(maxiter) + 1):
         ap = helmholtz(p)
         pap = float(np.dot(p.ravel(), ap.ravel()))
         if pap <= 0.0:
             break
         alpha = rz / pap
-        x += alpha * p
-        ap *= alpha  # r - alpha*ap and z + beta*p, with fewer temporaries
-        r = r - ap
+        ap *= alpha
+        r -= ap
+        x += np.multiply(p, alpha, out=ap)
         rs = float(np.dot(r.ravel(), r.ravel()))
         if math.sqrt(rs) <= target:
             break
@@ -353,7 +479,7 @@ def _pcg(x, r, rs, helmholtz, precondition, target, it, maxiter):
     return x, it, rs
 
 
-def _constant_solve(b, c, dt, hx, hy, rtol, maxiter):
+def _constant_solve(b, c, dt, hx, hy, rtol, maxiter, work):
     """The spectral start of ``cg_solve`` for a stack of constants.
 
     On small grids its cost is the number of numpy calls, so the start
@@ -380,15 +506,15 @@ def _constant_solve(b, c, dt, hx, hy, rtol, maxiter):
         members[mask] = b.reshape(members.shape)[mask]
         uniform = mask.tolist()
     if m == 1:  # two calls, so that b is not copied
-        r = x - dt * _divergence(x, (w, w), hx, hy)
-        np.subtract(b, r, out=r)
+        r = work.vectors((nx, ny))[0]
+        np.subtract(b, _helmholtz(x, c.weights, dt, hx, hy, work), out=r.reshape(b.shape))
         rows = (flat, r.reshape(1, -1))
         norms = [math.sqrt(np.einsum("ij,ij->i", v, v)[0]) for v in rows]
     else:
         both = np.empty((2 * m, nx * ny))
         both[:m] = flat
         r = both[m:].reshape(b.shape)
-        np.subtract(b, x - dt * _divergence(x, (w, w), hx, hy), out=r)
+        np.subtract(b, _helmholtz(x, c.weights, dt, hx, hy, work), out=r)
         norms = np.sqrt(np.einsum("ij,ij->i", both, both)).tolist()
     iters, relres = 0, 0.0
     for k, (skip, bnorm, rnorm) in enumerate(zip(uniform, norms[:m], norms[m:])):
@@ -396,11 +522,12 @@ def _constant_solve(b, c, dt, hx, hy, rtol, maxiter):
             continue
         it, target = 1, rtol * bnorm
         if rnorm > target:  # the start's rounding missed rtol: carry on
-            wk, inv_k = w.reshape(-1)[k], inv.reshape(members.shape)[k]
+            wk, inv_k = c.weights[0][k:k + 1], inv.reshape(members.shape)[k]
             members[k], it, rs = _pcg(
                 members[k], r.reshape(members.shape)[k], rnorm * rnorm,
-                lambda v: v - dt * _divergence(v, (wk, wk), hx, hy),
-                lambda v: _spectral(v, inv_k, c.basis), target, it, maxiter)
+                lambda v: _helmholtz(v, (wk, wk), dt, hx, hy, work),
+                lambda v: _spectral(v, inv_k, c.basis), target, it, maxiter,
+                work.vectors((nx, ny))[1])
             rnorm = math.sqrt(rs)
         rnorm /= bnorm  # the largest count and relative residual, without max() calls
         if it > iters:
@@ -440,22 +567,22 @@ def cg_solve(b, a, dt, hx, hy, rtol, maxiter):
     checks ``relres <= rtol``.
     """
     c = a if isinstance(a, Coefficients) else prepare_coefficient(a, hx, hy)
+    work = c.scratch or Scratch()
     if c.constant:
-        return _constant_solve(b, c, dt, hx, hy, rtol, maxiter)
+        return _constant_solve(b, c, dt, hx, hy, rtol, maxiter, work)
     bnorm = math.sqrt(float(np.dot(b.ravel(), b.ravel())))
     if bnorm == 0.0:
         return b.copy(), 0, 0.0
     target = rtol * bnorm
-    weights = _face_weights(c.field)
 
     def helmholtz(v):
-        # helmholtz_apply(v, a, ...) with the face weights computed once
-        return v - dt * _divergence(v, weights, hx, hy)
+        return _helmholtz(v, c.weights, dt, hx, hy, work)
 
+    r, p = work.vectors(b.shape)[:2]
     x, it = b.copy(), 0
-    r = b - helmholtz(x)
+    np.subtract(b, helmholtz(x), out=r)
     rs = float(np.dot(r.ravel(), r.ravel()))
     if math.sqrt(rs) > target:
-        precondition = _mean_coefficient_solver(c, dt, hx, hy)
-        x, it, rs = _pcg(x, r, rs, helmholtz, precondition, target, it, maxiter)
+        precondition = _mean_coefficient_solver(c, dt, hx, hy, work)
+        x, it, rs = _pcg(x, r, rs, helmholtz, precondition, target, it, maxiter, p)
     return x, it, math.sqrt(rs) / bnorm

@@ -417,8 +417,8 @@ def check_mode_products(diff: DiffusionMatrix, spectrum) -> None:
 
 
 def check_state_products(jac: Jacobian4, diff: DiffusionMatrix, spectrum) -> None:
-    """Raise ConfigError at params when the mode analysis of the state whose
-    reaction Jacobian is ``jac`` could overflow.
+    """Raise ConfigError at params, or at the coefficient, when the mode
+    analysis of the state whose reaction Jacobian is ``jac`` could overflow.
 
     Entry (i, k) of every mode matrix is at most e_ik = |J_ik| + [i = k]
     a_i lambda_max. The analyzer squares entries (the Frobenius norms behind
@@ -430,8 +430,23 @@ def check_state_products(jac: Jacobian4, diff: DiffusionMatrix, spectrum) -> Non
     finite (with a margin) is refused: an infinite tol would call every
     mode marginal. Python floats give inf here, never a warning. Called
     with ``check_mode_products`` wherever a state is classified.
+
+    The analyzer also divides by each coefficient: row i's Gershgorin tail
+    threshold (J_ii + R_i) / a_i, R_i the sum of |J_ik| off the diagonal
+    (``stability.gershgorin_tail``, whose float operations this repeats).
+    A coefficient whose threshold is not finite is refused at its field:
+    at a1 = 1e-305 on ``turing_point`` it overflows, at 1e-300 it does not.
     """
-    e = [[abs(v) for v in row] for row in jac.matrix.tolist()]
+    rows = jac.matrix.tolist()
+    for i, (name, a) in enumerate(diff.to_dict().items()):
+        r = rows[i]
+        reach = r[i] + (abs(r[0]) + abs(r[1]) + abs(r[2]) + abs(r[3]) - abs(r[i]))
+        if not math.isfinite(reach / a):
+            raise ConfigError(f"coefficients.{name}",
+                              f"{a:.3g} is too small for a mode analysis of state "
+                              f"{jac.tag}: its Gershgorin tail threshold, {reach:.3g} / "
+                              f"{a:.3g}, overflows")
+    e = [[abs(v) for v in row] for row in rows]
     lam_max = float(spectrum.lambdas()[-1])
     for i, a in enumerate(diff.to_dict().values()):
         e[i][i] += a * lam_max

@@ -21,6 +21,8 @@ def test_bench_kernels_runs_on_a_small_grid():
     assert proc.returncode == 0, proc.stderr
     assert "step" in proc.stdout and "turing 64" in proc.stdout
     assert "8         smooth" in proc.stdout
+    assert "helmholtz      cosine 96x96" in proc.stdout
+    assert "precondition   cosine 96x96" in proc.stdout
 
 
 def test_bench_e2e_records_a_tiny_run(tmp_path):

@@ -696,6 +696,29 @@ def test_large_rates_whose_products_stay_finite_still_analyse(tmp_path, rate):
     assert json.loads(proc.stdout)["reports"]
 
 
+@pytest.mark.parametrize("value,code", [(1e-310, 2), (1e-305, 2), (1e-300, 0)])
+def test_coefficients_whose_tail_threshold_overflows_exit_2(tmp_path, value, code):
+    # The Gershgorin tail threshold of a row is (J_ii + R_i) / a_i: at
+    # a1 = 1e-310 (subnormal) or 1e-305 it overflows, at 1e-300 it is finite.
+    doc = json.loads((SCENARIOS / "turing_point.json").read_text())
+    doc["coefficients"]["a1"] = {"kind": "constant", "value": value}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sirblab.cli", "stability",
+         "--config", write_json(tmp_path, "cfg.json", doc), "--modes", "8"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("config error: coefficients.a1: ")
+        assert "Gershgorin tail" in proc.stderr
+    else:
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["reports"]
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------

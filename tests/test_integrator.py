@@ -570,6 +570,18 @@ def test_solver_plan_scales_only_profile_coefficients():
         assert np.array_equal(plan.species[k].scaling, (a / plan.species[k].scale) ** -0.25)
 
 
+def test_solver_plan_shares_one_scratch():
+    # The species are solved one at a time, so a run's solves share one set
+    # of work arrays; the white-noise and stacked-run tests below compare
+    # their steps with solves that make fresh ones.
+    grid = Grid((1.0, 1.0), (12, 10))
+    plan = integrator._solver_plan(
+        SimConfig(grid, make_params(), _profile_coefficients(grid), None, t_end=1.0))
+    scratch = plan.stack.scratch
+    assert isinstance(scratch, integrator.kernels.Scratch)
+    assert all(c.scratch is scratch for c in plan.species)
+
+
 @pytest.mark.parametrize("grid", [Grid((2.0,), (40,)), Grid((1.0, 1.0), (12, 10))])
 def test_white_noise_cells_step_as_raw_field_solves_bit_for_bit(grid):
     rng = np.random.default_rng(23)

@@ -217,13 +217,30 @@ def test_1d_fields_skip_y_work_with_the_same_floats():
 # Start of the solve: spectral for a constant coefficient, x = b otherwise
 # ---------------------------------------------------------------------------
 
+def _reference_divergence(u, weights, hx, hy):
+    """The reference stencil, on (nx, ny) fields and their strided face
+    views: one flux per face, a literal zero on each boundary face.
+    ``weights`` are ``kernels._face_weights``, or per-member constants of
+    shape (m, 1, 1) for an (m, nx, ny) stack."""
+    wx, wy = weights
+    nx, ny = u.shape[-2:]
+    fx = np.zeros(u.shape[:-2] + (nx + 1, ny))
+    np.multiply(wx, u[..., 1:, :] - u[..., :-1, :], out=fx[..., 1:-1, :])
+    out = (fx[..., 1:, :] - fx[..., :-1, :]) / (hx * hx)
+    if ny > 1:
+        fy = np.zeros(u.shape[:-1] + (ny + 1,))
+        np.multiply(wy, u[..., 1:] - u[..., :-1], out=fy[..., 1:-1])
+        out += (fy[..., 1:] - fy[..., :-1]) / (hy * hy)
+    return out
+
+
 def _pcg_from_b(b, a, dt, hx, hy, rtol, maxiter):
     """PCG from x = b: the reference for every solve without the spectral
     start, preconditioned by ``_mean_solver``."""
     weights = kernels._face_weights(a)
 
     def helmholtz(v):
-        return v - dt * kernels._divergence(v, weights, hx, hy)
+        return v - dt * _reference_divergence(v, weights, hx, hy)
 
     x = b.copy()
     bnorm = math.sqrt(float(np.dot(b.ravel(), b.ravel())))
@@ -480,3 +497,108 @@ def test_prepared_coefficients_give_the_solves_of_the_raw_fields():
     want = cg_solve(b, np.full((12, 18), 0.7), 0.05, 0.08, 0.05, 1e-13, 10 * b.size)
     assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
+
+# ---------------------------------------------------------------------------
+# The flat stencil and the scratch arrays of a run
+# ---------------------------------------------------------------------------
+
+FLAT_SHAPES = [(3, 3), (64, 1), (3, 1025), (12, 14), (16, 24), (96, 96)]
+
+
+def _signed_zeros(shape, rng):
+    """+0.0 and -0.0 cells: every difference and flux is a zero of either
+    sign, and where a row ends on +0.0 and the next begins on -0.0, a
+    zero weight times their difference is -0.0, where the reference
+    stencil has a literal +0.0."""
+    return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+
+def _spacing(shape):
+    return 0.07, (0.11 if shape[1] > 1 else 1.0)
+
+
+@pytest.mark.parametrize("shape", FLAT_SHAPES)
+def test_flat_stencil_is_the_reference_stencil_bit_for_bit(shape):
+    hx, hy = _spacing(shape)
+    rng = np.random.default_rng(83)
+    u, a = _random_problem(shape, 89)
+    for v in (u, _signed_zeros(shape, rng)):
+        want = _reference_divergence(v, kernels._face_weights(a), hx, hy)
+        got = diffusion_apply(v, a, hx, hy)
+        assert got.shape == shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        again = kernels._divergence(v, kernels.prepare_coefficient(a, hx, hy).weights, hx, hy)
+        assert np.array_equal(again, want) and not np.shares_memory(again, got)
+        h = helmholtz_apply(v, a, 0.3, hx, hy)
+        assert np.array_equal(h, v - 0.3 * want)
+        assert np.array_equal(np.signbit(h), np.signbit(v - 0.3 * want))
+
+
+@pytest.mark.parametrize("shape", FLAT_SHAPES)
+def test_flat_stencil_on_a_constant_stack_is_the_reference(shape):
+    hx, hy = _spacing(shape)
+    values = (3e-5, 0.7, 2.7728, 0.4)
+    w = np.array(values).reshape(4, 1, 1)
+    rng = np.random.default_rng(97)
+    coefficients = _stack(values, shape, hx, hy)
+    for u in (rng.uniform(0.0, 2.0, (4,) + shape), _signed_zeros((4,) + shape, rng)):
+        want = _reference_divergence(u, (w, w), hx, hy)
+        got = kernels._divergence(u, coefficients.weights, hx, hy, kernels.Scratch())
+        assert got.shape == u.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (12, 14), (16, 24)])
+def test_row_crossings_carry_a_positive_zero_flux(shape):
+    hx, hy = _spacing(shape)
+    rng = np.random.default_rng(101)
+    _, a = _random_problem(shape, 103)
+    scratch = kernels.Scratch()
+    negative = 0
+    for _ in range(10):  # the second and later calls reuse the flux arrays
+        u = _signed_zeros(shape, rng)
+        want = _reference_divergence(u, kernels._face_weights(a), hx, hy)
+        got = kernels._divergence(u, kernels._flat_weights(a), hx, hy, scratch)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        negative += int(np.signbit(want).sum())
+    assert 0 < negative < 10 * a.size
+
+
+def test_species_solved_through_shared_scratch_equal_fresh_solves():
+    # A run's coefficients share one Scratch and are solved one at a time:
+    # each solve gives the bits of one with fresh arrays, and no x it
+    # returns is overwritten by a later solve.
+    grid = Grid((1.0, 1.0), (24, 20))
+    hx, hy = grid.spacing
+    base = 0.015
+    fields = [
+        (CoefficientField.from_profile("cosine", base=base, amplitude=0.5 * base,
+                                       modes=[1, 2]).materialize(grid), True),
+        (np.random.default_rng(107).uniform(0.0015, 0.015, grid.shape), False),
+        (np.full(grid.shape, base), False),
+        (np.full(grid.shape, 2.0 * base), False),
+    ]
+    scratch = kernels.Scratch()
+    shared = [kernels.prepare_coefficient(a, hx, hy, smooth=s, scratch=scratch)
+              for a, s in fields]
+    fresh = [kernels.prepare_coefficient(a, hx, hy, smooth=s) for a, s in fields]
+    shared.append(kernels.stack_coefficients(shared[2:]))
+    fresh.append(kernels.stack_coefficients(fresh[2:]))
+    assert shared[-1].scratch is scratch and fresh[-1].scratch is None
+    rng = np.random.default_rng(109)
+    kept = []
+    for dt in (5.0 / 32.0, 2.0, 1e5):
+        for k in (0, 1, 4, 2, 0):
+            b = rng.uniform(0.0, 2.0, ((2,) if k == 4 else ()) + grid.shape)
+            got = cg_solve(b, shared[k], dt, hx, hy, 1e-13, 10 * grid.ncells)
+            want = cg_solve(b, fresh[k], dt, hx, hy, 1e-13, 10 * grid.ncells)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+            if k >= 2:  # at dt 1e5 the constants carry on from the spectral start
+                assert got[1] == (2 if dt == 1e5 else 1)
+            kept.append((got[0], want[0]))
+    work = scratch.vectors(grid.shape) + scratch.stencil(2, *grid.shape)
+    for got, want in kept:
+        assert np.array_equal(got, want)
+        assert not any(np.shares_memory(got, v) for v in work if v is not None)

@@ -4,13 +4,14 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sirblab import grid as grid_module
 from sirblab import kernels
 from sirblab.integrator import BumpInit, ModeInit, RandomInit, SimConfig
 from sirblab.model import ModelParams
-from sirblab.stability import DiffusionMatrix, jacobian
+from sirblab.stability import DiffusionMatrix, gershgorin_tail, jacobian
 from sirblab.steady import trivial_states
 from sirblab.scenario import (
     DEFAULT_MODE_COUNT,
@@ -572,3 +573,27 @@ def test_cubic_products_are_bounded_where_the_squares_are_not_enough():
         check_state_products(jacobian(z3.value, p, z3.tag), diff, spectrum)
     for z in (z1, z2):
         check_state_products(jacobian(z.value, p, z.tag), diff, spectrum)
+
+
+def test_tail_threshold_check_agrees_with_the_analyzer_at_the_edge():
+    # The check repeats gershgorin_tail's float operations, so right at the
+    # overflow edge it refuses exactly the coefficients whose tail is inf.
+    p = ModelParams(**REF)
+    spectrum = grid_module.neumann_modes(grid_module.Grid((2.0,), (64,)), 8)
+    jac = jacobian(trivial_states(p)[0].value, p, "Z1")
+    j = jac.matrix
+    reach = float(j[0, 0] + (np.abs(j).sum(axis=1) - np.abs(j.diagonal()))[0])
+    assert reach > 0.0
+    edge = reach / 1.7976931348623157e308
+    refused = 0
+    for a1 in np.nextafter(edge, 1.0) * (1.0 + np.arange(-4, 5) * 2.0 ** -52):
+        diff = DiffusionMatrix(float(a1), 0.05, 0.05, 0.01)
+        with np.errstate(over="ignore"):
+            overflows = math.isinf(gershgorin_tail(jac, diff))
+        if overflows:
+            refused += 1
+            with pytest.raises(ConfigError, match=r"^coefficients\.a1: .* Gershgorin tail"):
+                check_state_products(jac, diff, spectrum)
+        else:
+            check_state_products(jac, diff, spectrum)
+    assert 0 < refused < 9

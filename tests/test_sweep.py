@@ -343,6 +343,24 @@ def test_overflowing_mode_norms_are_an_in_row_error_without_warnings(tmp_path):
     assert row.startswith('0.3,,"ConfigError: params: state Z1: rates too large for a mode analysis')
 
 
+def test_an_overflowing_tail_threshold_is_an_in_row_error_without_warnings(tmp_path):
+    base = base_doc()
+    base["coefficients"] = {**COEFFS, "a1": {"kind": "constant", "value": 1e-310}}
+    doc = {"name": "subnormal", "base": base,
+           "axes": [{"param": "beta2", "values": [0.3]}], "outputs": ["Z1.overall"]}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(sweep.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sirblab.cli", "sweep", "--config", str(cfg),
+         "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    row = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1]
+    assert row.startswith('0.3,,"ConfigError: coefficients.a1: ')
+    assert "Gershgorin tail" in row
+
+
 def test_a_repeated_output_is_rejected_before_any_file(tmp_path):
     out = tmp_path / "o"
     with pytest.raises(ConfigError, match=r"^outputs\[2\]: duplicate output 'Z1.overall'"):
