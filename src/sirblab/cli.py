@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .grid import neumann_modes
-from .integrator import CGError, PositivityError, simulate
+from .integrator import CGError, PositivityError, RandomInit, simulate
 from .kernels import backend_name
 from .scenario import (
     ConfigError,
@@ -147,10 +147,10 @@ def cmd_stability(args) -> int:
 
 def cmd_simulate(args) -> int:
     doc = load_json(args.config)
-    if args.seed is not None and doc.get("initial", {}).get("kind") != "random":
+    cfg = build_sim_config(doc, seed_override=args.seed)
+    if args.seed is not None and not isinstance(cfg.initial, RandomInit):
         print("warning: --seed only affects 'random' initial data; ignored",
               file=sys.stderr)
-    cfg = build_sim_config(doc, seed_override=args.seed)
     os.makedirs(args.out, exist_ok=True)
     try:
         traj = simulate(cfg)

@@ -136,10 +136,6 @@ class Grid:
     def to_dict(self) -> dict:
         return {"lengths": list(self.lengths), "cells": list(self.cells)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Grid":
-        return cls(tuple(data["lengths"]), tuple(data["cells"]))
-
 
 def _as_grid_array(grid: Grid, values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -166,21 +162,6 @@ class ScalarField:
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def l1_norm(self) -> float:
-        return float(np.sum(np.abs(self.values)) * self.grid.cell_volume)
-
-    def integral(self) -> float:
-        return float(np.sum(self.values) * self.grid.cell_volume)
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
-    def to_csv(self) -> str:
-        return _cells_csv(self.grid, ["value"], [self.values])
 
 
 # Cells per block of CSV rows converted to text at once.

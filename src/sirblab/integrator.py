@@ -303,6 +303,8 @@ class SimConfig:
         self.record_modes = tuple(int(j) for j in self.record_modes)
         if any(j < 0 for j in self.record_modes):
             raise ValueError("recorded mode indices must be >= 0")
+        if len(set(self.record_modes)) < len(self.record_modes):
+            raise ValueError("recorded mode indices must be distinct")
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
         if any(t < 0.0 or t > self.t_end for t in self.snapshot_times):
             raise ValueError("snapshot times must lie in [0, t_end]")
@@ -517,8 +519,9 @@ def step(state: StateField, dt: float, cfg: SimConfig,
 
 
 def _reached(t: float, target: float) -> bool:
-    """True once time t is at target, up to the rounding of the steps."""
-    return t >= target * (1.0 - 1e-12)
+    """True once time t is at target, up to the rounding of the steps:
+    the one rule for snapshot times and for t_end."""
+    return t >= target * (1.0 - 1e-14)
 
 
 def _drive(cfg: SimConfig):
@@ -543,7 +546,7 @@ def _drive(cfg: SimConfig):
             stops.pop(0)
             hits += 1
         yield state, dt, hits
-        if state.t >= cfg.t_end * (1.0 - 1e-14):
+        if _reached(state.t, cfg.t_end):
             return
         dt = stability_dt(state, cfg.params) if cfg.adaptive else cfg.dt
         if cfg.dt is not None:

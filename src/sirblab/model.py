@@ -21,10 +21,12 @@ Reaction right-hand side:
     f3 = gamma*I - (d3 + sigma)*R
     f4 = xi*I + g2(B) - d4*B
 
-All functions accept scalars or numpy arrays of a common shape and
-broadcast elementwise. Negative densities are rejected at this boundary;
-positivity failures inside a time integration must surface there, where
-they carry a cell index and a time stamp, not silently here.
+The rates are spelled once, in ``_rhs_terms``: the integrator's step and
+the steady-state residual evaluate it without checks. ``reaction_rhs`` is
+the checked entry to the same formulas. It accepts scalars or numpy
+arrays of a common shape, broadcast elementwise, and rejects negative
+densities; positivity failures inside a time integration surface in the
+integrator, where they carry a cell index and a time stamp.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ __all__ = [
     "ConditionCheck",
     "RegimeReport",
     "REGIMES",
-    "logistic_b",
-    "saturation_h1",
-    "infection_g1",
-    "bacterial_g2",
     "reaction_rhs",
     "check_regime",
 ]
@@ -150,35 +148,6 @@ def _check_nonneg(name: str, value) -> np.ndarray:
     return arr
 
 
-def logistic_b(s, p: ModelParams):
-    """Logistic recruitment b(s) = b0*s*(1 - s/k1). Rejects s < 0."""
-    s = _check_nonneg("s", s)
-    out = p.b0 * s * (1.0 - s / p.k1)
-    return out if out.ndim else float(out)
-
-
-def saturation_h1(b, p: ModelParams):
-    """Saturating ingestion response h1(B) = B/(B + k2), in [0, 1)."""
-    b = _check_nonneg("B", b)
-    out = b / (b + p.k2)
-    return out if out.ndim else float(out)
-
-
-def infection_g1(s, i, b, p: ModelParams):
-    """Total infection pressure beta1*S*I + beta2*S*h1(B)."""
-    s = _check_nonneg("S", s)
-    i = _check_nonneg("I", i)
-    out = p.beta1 * s * i + p.beta2 * s * saturation_h1(b, p)
-    return out if np.ndim(out) else float(out)
-
-
-def bacterial_g2(b, p: ModelParams):
-    """Bacterial self-growth g2(B) = g0*B*(1 - B/k3)."""
-    b = _check_nonneg("B", b)
-    out = p.g0 * b * (1.0 - b / p.k3)
-    return out if out.ndim else float(out)
-
-
 def _rate_arrays(p: ModelParams) -> SimpleNamespace:
     """The rates ``_rhs_terms`` reads, as read-only 0-d float64 arrays.
 
@@ -244,9 +213,6 @@ class ConditionCheck:
     margin: float
     satisfied: bool
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "margin": self.margin, "satisfied": self.satisfied}
-
 
 @dataclass(frozen=True)
 class RegimeReport:
@@ -256,13 +222,6 @@ class RegimeReport:
     @property
     def all_satisfied(self) -> bool:
         return all(c.satisfied for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "all_satisfied": self.all_satisfied,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 def _strict(name: str, margin: float) -> ConditionCheck:

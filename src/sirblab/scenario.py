@@ -109,6 +109,8 @@ def load_json(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(path, f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except ValueError as e:  # an integer too long to convert
+        raise ConfigError(path, f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(path, "top-level JSON value must be an object")
     return doc
@@ -129,9 +131,13 @@ def _as_dict(value, path: str) -> dict:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -163,6 +169,14 @@ def _int_list(value, path: str) -> list:
     return [_as_int(v, f"{path}[{k}]") for k, v in enumerate(_as_list(value, path))]
 
 
+def _mode_list(value, path: str) -> list:
+    """Integers that a float can hold, as a cosine profile multiplies them by pi."""
+    modes = _int_list(value, path)
+    for k, m in enumerate(modes):
+        _as_number(m, f"{path}[{k}]")
+    return modes
+
+
 # The type of each profile argument (``grid._PROFILE_ARGS``); lengths and
 # ranges are the grid's to check.
 _PROFILE_ARG_TYPES = {
@@ -170,7 +184,7 @@ _PROFILE_ARG_TYPES = {
     "amplitude": _as_number,
     "width": _as_number,
     "center": _number_list,
-    "modes": _int_list,
+    "modes": _mode_list,
 }
 
 
@@ -353,6 +367,11 @@ def build_sim_config(doc: dict, seed_override: int | None = None) -> SimConfig:
     adaptive = _as_bool(run.get("adaptive", True), "run.adaptive")
     record_every = _as_int(run.get("record_every", 1), "run.record_every")
     record_modes = _int_list(run.get("record_modes", []), "run.record_modes")
+    seen = set()
+    for k, j in enumerate(record_modes):
+        if j in seen:
+            raise ConfigError(f"run.record_modes[{k}]", f"duplicate mode {j}")
+        seen.add(j)
     snapshot_times = _number_list(run.get("snapshot_times", []), "run.snapshot_times")
     mode_fields = [(f"run.record_modes[{k}]", j) for k, j in enumerate(record_modes)]
     if isinstance(initial, ModeInit):

@@ -738,3 +738,75 @@ def test_sweep_repeated_output_exits_2(tmp_path, capsys):
     assert rc == 2
     assert stderr.startswith("config error: outputs[1]: duplicate output 'Z1.overall'")
     assert not out.exists()
+
+
+def test_repeated_record_mode_exits_2(tmp_path, capsys):
+    # the repeat appended twice to one amplitude list, and the CSV read the
+    # first half of it: the t=0.0564 row showed the t=0 amplitudes, exit 0
+    doc = _shipped("endemic_1d")
+    doc["run"].update(record_modes=[1, 1], record_every=1)
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    out = tmp_path / "o"
+    rc, stdout, stderr = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("config error: run.record_modes[1]: duplicate mode 1")
+    assert not out.exists()
+
+
+def test_snapshot_at_t_end_takes_the_final_state(tmp_path, capsys):
+    # a snapshot time within 1e-12 of t_end was taken as reached one step
+    # early, while the run went on to t_end
+    doc = _shipped("endemic_1d")
+    doc["run"]["snapshot_times"] = [1.9999999999998, 2.0]
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    out = tmp_path / "o"
+    rc, _, _ = run_cli(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert rc == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["final_time"] == 2.0
+    assert [s["time"] for s in meta["snapshots"]] == [1.9999999999998, 2.0]
+
+
+_HUGE = 10**400  # a JSON integer beyond float range
+
+
+@pytest.mark.parametrize("command,doc,path", [
+    ("stability", scenario_doc(params={"b0": _HUGE}), "params.b0"),
+    ("simulate", _with_lengths("endemic_1d", [_HUGE]), "grid.lengths[0]"),
+    ("sweep", sweep_doc([{"param": "beta2", "values": [0.5, _HUGE]}], ["Z1.overall"]),
+     "axes[0].values[1]"),
+    ("simulate", _damped_2d(a1=_cosine(modes=[_HUGE, 1])), "coefficients.a1.modes[0]"),
+], ids=["params", "lengths", "sweep-axis", "cosine-modes"])
+def test_integers_beyond_float_range_exit_2(tmp_path, capsys, command, doc, path):
+    # each exited 1 with an OverflowError from float() or int * float
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    out = tmp_path / "o"
+    argv = ["--modes", "8"] if command == "stability" else ["--out", str(out)]
+    rc, stdout, stderr = run_cli(capsys, command, "--config", cfg, *argv)
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith(f"config error: {path}: expected a finite number")
+    assert not out.exists()
+
+
+def test_integer_too_long_to_read_exits_2(tmp_path, capsys):
+    # json refuses integers of more than 4300 digits with a plain ValueError
+    f = tmp_path / "long.json"
+    f.write_text('{"params": {"b0": 1' + "0" * 5000 + "}}")
+    rc, stdout, stderr = run_cli(capsys, "steady", "--config", str(f))
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith(f"config error: {f}: invalid JSON")
+
+
+def test_seed_with_an_initial_that_is_not_an_object_exits_2(tmp_path, capsys):
+    # the --seed warning read initial.kind before initial was checked
+    cfg = write_json(tmp_path, "cfg.json", scenario_doc(initial=[1, 2]))
+    out = tmp_path / "o"
+    rc, stdout, stderr = run_cli(capsys, "simulate", "--config", cfg,
+                                 "--out", str(out), "--seed", "3")
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("config error: initial: expected an object")
+    assert not out.exists()

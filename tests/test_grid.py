@@ -49,7 +49,8 @@ def test_grid_rejects_bad_shapes():
 
 def test_grid_dict_roundtrip():
     g = Grid((1.5, 2.5), (10, 20))
-    assert Grid.from_dict(g.to_dict()) == g
+    assert g.to_dict() == {"lengths": [1.5, 2.5], "cells": [10, 20]}
+    assert Grid(**g.to_dict()) == g
 
 
 def test_axis_centers_are_cell_midpoints():
@@ -326,19 +327,3 @@ def test_scalar_field_shape_checked():
     g = Grid((1.0, 1.0), (4, 4))
     with pytest.raises(ValueError):
         ScalarField(g, np.zeros((4, 5)))
-
-
-def test_scalar_field_csv_layout():
-    g = Grid((1.0, 2.0), (3, 4))
-    f = ScalarField.constant(g, 1.5)
-    lines = f.to_csv().strip().split("\n")
-    assert lines[0].split(",")[:2] == ["x", "y"]
-    assert len(lines) == 1 + g.ncells
-
-
-def test_scalar_field_norms():
-    g = Grid((2.0,), (10,))
-    f = ScalarField(g, np.full(10, -3.0))
-    assert f.sup_norm() == 3.0
-    assert f.l1_norm() == pytest.approx(6.0)   # |u| integrated over length 2
-    assert f.integral() == pytest.approx(-6.0)

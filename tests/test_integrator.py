@@ -62,6 +62,13 @@ def test_config_validation():
         _cfg(p, init, t_end=1.0, snapshot_times=(2.0,))
 
 
+def test_config_rejects_a_repeated_record_mode():
+    # the amplitudes are kept per (species, mode), so a repeat shared one list
+    with pytest.raises(ValueError, match="distinct"):
+        _cfg(make_params(), ConstantInit((1.0, 0.0, 0.0, 0.0)), t_end=1.0,
+             record_modes=(0, 1, 1))
+
+
 def test_initial_profiles_reject_negative_data():
     with pytest.raises(ValueError):
         ConstantInit((1.0, -0.1, 0.0, 0.0)).build(GRID)

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sirblab.model import (
-    ModelParams,
-    bacterial_g2,
-    check_regime,
-    infection_g1,
-    logistic_b,
-    reaction_rhs,
-    saturation_h1,
-)
+from sirblab.model import ModelParams, check_regime, reaction_rhs
 
 from common import REF, make_params
 
@@ -59,61 +51,6 @@ def test_params_reject_nonfinite_and_bool():
         make_params(k1=float("nan"))
     with pytest.raises(ValueError, match="b0"):
         make_params(b0=True)
-
-
-# ---------------------------------------------------------------------------
-# Constitutive rates, fixed points of the algebra
-# ---------------------------------------------------------------------------
-
-def test_logistic_birth_values():
-    p = make_params()  # b0=2, k1=10
-    assert logistic_b(0.0, p) == 0.0
-    assert logistic_b(p.k1, p) == pytest.approx(0.0, abs=1e-15)
-    assert logistic_b(1.0, p) == pytest.approx(1.8)
-
-
-def test_saturation_values():
-    p = make_params()  # k2=1
-    assert saturation_h1(0.0, p) == 0.0
-    assert saturation_h1(p.k2, p) == pytest.approx(0.5)
-    b = np.linspace(0.0, 50.0, 200)
-    h = saturation_h1(b, p)
-    assert np.all(np.diff(h) > 0.0)
-    assert np.all(h < 1.0)
-
-
-def test_saturation_slope_matches_finite_differences():
-    p = make_params(k2=0.7)
-    eps = 1e-6
-    for b in (0.0, 0.3, 1.0, 4.0, 25.0):
-        exact = p.k2 / (b + p.k2) ** 2
-        approx = (saturation_h1(b + eps, p) - saturation_h1(max(b - eps, 0.0), p))
-        approx /= (eps if b == 0.0 else 2 * eps)
-        assert approx == pytest.approx(exact, rel=1e-5)
-
-
-def test_infection_pressure_values():
-    p = make_params(beta1=1.0, beta2=2.0, k2=1.0)
-    assert infection_g1(1.0, 0.0, 0.0, p) == 0.0
-    # beta1*S*I + beta2*S*h1(B) = 3 + 2*0.5
-    assert infection_g1(1.0, 3.0, 1.0, p) == pytest.approx(4.0)
-
-
-def test_bacterial_growth_values():
-    p = make_params(g0=3.0, k3=6.0)
-    assert bacterial_g2(0.0, p) == 0.0
-    assert bacterial_g2(p.k3, p) == pytest.approx(0.0, abs=1e-15)
-    assert bacterial_g2(2.0, p) == pytest.approx(4.0)
-
-
-def test_rates_reject_negative_input():
-    p = make_params()
-    with pytest.raises(ValueError):
-        logistic_b(-0.1, p)
-    with pytest.raises(ValueError):
-        bacterial_g2(-1e-6, p)
-    with pytest.raises(ValueError):
-        infection_g1(1.0, -1.0, 0.0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +122,7 @@ def test_host_budget_identity(u):
     p = make_params()
     f = reaction_rhs(u, p)
     s, i, r, _ = u
-    budget = logistic_b(s, p) - p.d1 * s + p.sigma * r - (p.d2 + p.gamma) * i
+    budget = p.b0 * s * (1.0 - s / p.k1) - p.d1 * s + p.sigma * r - (p.d2 + p.gamma) * i
     assert f.f1 + f.f2 == pytest.approx(budget, rel=1e-12, abs=1e-12)
 
 
